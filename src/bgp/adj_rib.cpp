@@ -1,0 +1,135 @@
+#include "bgp/adj_rib.hpp"
+
+#include "obs/obs.hpp"
+#include "support/assert.hpp"
+
+namespace bgpsim {
+
+AdjRib::AdjRib(const AsGraph& graph, PolicyConfig config)
+    : graph_(graph), config_(std::move(config)) {
+  validate_engine_inputs(graph_, config_);
+  const std::uint32_t n = graph_.num_ases();
+
+  edge_offset_.assign(n + 1, 0);
+  for (AsId v = 0; v < n; ++v) {
+    edge_offset_[v + 1] = edge_offset_[v] + graph_.degree(v);
+  }
+  const std::uint32_t total_edges = edge_offset_[n];
+
+  // mirror_[edge_offset_[u] + k]: position of u inside neighbors(v) where
+  // v = neighbors(u)[k].
+  mirror_.assign(total_edges, 0);
+  for (AsId u = 0; u < n; ++u) {
+    const auto nbrs_u = graph_.neighbors(u);
+    for (std::uint32_t k = 0; k < nbrs_u.size(); ++k) {
+      const AsId v = nbrs_u[k].id;
+      const auto nbrs_v = graph_.neighbors(v);
+      const auto it = std::lower_bound(
+          nbrs_v.begin(), nbrs_v.end(), u,
+          [](const Neighbor& nb, AsId id) { return nb.id < id; });
+      BGPSIM_ASSERT(it != nbrs_v.end() && it->id == u, "asymmetric adjacency");
+      mirror_[edge_offset_[u] + k] =
+          static_cast<std::uint32_t>(it - nbrs_v.begin());
+    }
+  }
+
+  is_stub_.assign(n, 1);
+  for (AsId v = 0; v < n; ++v) {
+    for (const auto& nbr : graph_.neighbors(v)) {
+      if (nbr.rel == Rel::Customer) {
+        is_stub_[v] = 0;
+        break;
+      }
+    }
+  }
+
+  rib_.assign(total_edges, Entry{});
+  rib_path_.resize(total_edges);
+  best_.assign(n, Route{});
+  best_slot_.assign(n, kSelfSlot);
+  best_path_.resize(n);
+  offered_bogus_.assign(n, 0);
+}
+
+void AdjRib::reset() {
+  std::fill(rib_.begin(), rib_.end(), Entry{});
+  std::fill(best_.begin(), best_.end(), Route{});
+  std::fill(best_slot_.begin(), best_slot_.end(), kSelfSlot);
+  for (auto& path : best_path_) path.clear();
+  // rib_path_ contents are stale but unreachable: entries with
+  // RouteClass::None are never read.
+  std::fill(offered_bogus_.begin(), offered_bogus_.end(), 0);
+}
+
+std::uint32_t AdjRib::count_origin(Origin origin) const {
+  std::uint32_t count = 0;
+  for (const Route& r : best_) count += (r.origin == origin);
+  return count;
+}
+
+void AdjRib::originate(AsId origin, Origin tag, AsId forged_tail) {
+  best_path_[origin].assign(1, origin);
+  if (forged_tail != kInvalidAs) best_path_[origin].push_back(forged_tail);
+  best_[origin] = Route{tag, RouteClass::Self,
+                        static_cast<std::uint16_t>(best_path_[origin].size()),
+                        kInvalidAs};
+  best_slot_[origin] = kSelfSlot;
+}
+
+void AdjRib::reselect(AsId v) {
+  const bool is_t1 = config_.as_is_tier1(v);
+  const std::uint32_t base = edge_offset_[v];
+  const auto nbrs = graph_.neighbors(v);
+  const Route before = best_[v];
+  Route best{};
+  std::uint32_t best_idx = kSelfSlot;
+  for (std::uint32_t k = 0; k < nbrs.size(); ++k) {
+    const Entry& entry = rib_[base + k];
+    if (entry.cls == RouteClass::None) continue;
+    // Ascending slot order keeps the remaining full ties on the lowest
+    // neighbor id, matching EquilibriumEngine's tie order.
+    if (best_idx == kSelfSlot ||
+        displaces(best.origin, best.cls, best.path_len, entry.origin,
+                  entry.cls, entry.len, is_t1, config_.tier1_shortest_path)) {
+      best = Route{entry.origin, entry.cls, entry.len, nbrs[k].id};
+      best_idx = base + k;
+    }
+  }
+  best_[v] = best;
+  best_slot_[v] = best_idx;
+  if (best_idx != kSelfSlot) {
+    set_best_path(v, rib_path_[best_idx]);
+  } else {
+    best_path_[v].clear();
+  }
+  record_provenance(v, best, before);
+}
+
+void AdjRib::record_provenance(AsId to, const Route& now, const Route& before) {
+  if (prov_ == nullptr) return;
+  const bool now_bad = now.origin == Origin::Attacker;
+  const bool was_bad = before.origin == Origin::Attacker;
+  if (!now_bad && !was_bad) return;
+  if (now_bad && was_bad && now.via == before.via &&
+      now.path_len == before.path_len) {
+    return;  // still the same bogus route; nothing changed materially
+  }
+  prov_->record_edge(obs::make_edge(
+      now_bad ? obs::InfectionEdgeKind::Adopt : obs::InfectionEdgeKind::Cure,
+      to, now.valid() ? now.via : to, generation_, now.path_len,
+      before.path_len, static_cast<std::uint8_t>(before.origin)));
+}
+
+void AdjRib::record_blocked(AsId to, AsId from, std::uint16_t len) {
+  prov_->record_edge(
+      obs::make_edge(obs::InfectionEdgeKind::Blocked, to, from, generation_, len));
+}
+
+void AdjRib::flush_validator_drops() {
+  if (validator_drops_ != 0) {
+    BGPSIM_COUNTER_ADD("defense.validator_drops", validator_drops_);
+  }
+  validator_drops_ = 0;
+}
+
+}  // namespace bgpsim

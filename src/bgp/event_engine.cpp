@@ -9,219 +9,65 @@
 namespace bgpsim {
 
 EventEngine::EventEngine(const AsGraph& graph, EventEngineConfig config)
-    : graph_(graph), config_(std::move(config)) {
-  validate_engine_inputs(graph_, config_.policy);
-  BGPSIM_REQUIRE(config_.min_delay > 0.0 && config_.max_delay >= config_.min_delay,
+    : rib_(graph, std::move(config.policy)), max_events_(config.max_events) {
+  BGPSIM_REQUIRE(config.min_delay > 0.0 && config.max_delay >= config.min_delay,
                  "bad delay range");
-  const std::uint32_t n = graph_.num_ases();
-
-  edge_offset_.assign(n + 1, 0);
-  for (AsId v = 0; v < n; ++v) {
-    edge_offset_[v + 1] = edge_offset_[v] + graph_.degree(v);
-  }
-  const std::uint32_t total_edges = edge_offset_[n];
-
-  mirror_.assign(total_edges, 0);
-  for (AsId u = 0; u < n; ++u) {
-    const auto nbrs_u = graph_.neighbors(u);
-    for (std::uint32_t k = 0; k < nbrs_u.size(); ++k) {
-      const AsId v = nbrs_u[k].id;
-      const auto nbrs_v = graph_.neighbors(v);
-      const auto it = std::lower_bound(
-          nbrs_v.begin(), nbrs_v.end(), u,
-          [](const Neighbor& nb, AsId id) { return nb.id < id; });
-      BGPSIM_ASSERT(it != nbrs_v.end() && it->id == u, "asymmetric adjacency");
-      mirror_[edge_offset_[u] + k] =
-          static_cast<std::uint32_t>(it - nbrs_v.begin());
-    }
-  }
-
-  Rng rng(config_.delay_seed);
-  delay_.resize(total_edges);
-  for (auto& d : delay_) d = rng.uniform(config_.min_delay, config_.max_delay);
-
-  is_stub_.assign(n, 1);
-  for (AsId v = 0; v < n; ++v) {
-    for (const auto& nbr : graph_.neighbors(v)) {
-      if (nbr.rel == Rel::Customer) {
-        is_stub_[v] = 0;
-        break;
-      }
-    }
-  }
-
-  rib_.assign(total_edges, RibEntry{});
-  rib_path_.resize(total_edges);
-  best_.assign(n, Route{});
-  best_slot_.assign(n, kSelfSlot);
-  best_path_.resize(n);
-  first_bogus_.assign(n, -1.0);
-  reset();
+  Rng rng(config.delay_seed);
+  delay_.resize(rib_.num_edges());
+  for (auto& d : delay_) d = rng.uniform(config.min_delay, config.max_delay);
+  announced_.assign(rib_.num_edges(), 0);
+  first_bogus_.assign(graph.num_ases(), -1.0);
 }
 
 void EventEngine::reset() {
-  std::fill(rib_.begin(), rib_.end(), RibEntry{});
-  std::fill(best_.begin(), best_.end(), Route{});
-  std::fill(best_slot_.begin(), best_slot_.end(), kSelfSlot);
-  for (auto& path : best_path_) path.clear();
+  rib_.reset();
+  std::fill(announced_.begin(), announced_.end(), 0);
   std::fill(first_bogus_.begin(), first_bogus_.end(), -1.0);
   queue_ = {};
   next_seq_ = 0;
 }
 
-std::uint32_t EventEngine::count_origin(Origin origin) const {
-  std::uint32_t count = 0;
-  for (const Route& r : best_) count += (r.origin == origin);
-  return count;
-}
-
 void EventEngine::schedule_exports(AsId v, double now) {
-  const Route& route = best_[v];
-  if (!route.valid()) return;
-  const std::uint32_t base = edge_offset_[v];
-  const auto nbrs = graph_.neighbors(v);
+  const std::uint32_t base = rib_.first_edge(v);
+  const auto nbrs = rib_.graph().neighbors(v);
   for (std::uint32_t k = 0; k < nbrs.size(); ++k) {
     const Neighbor& nbr = nbrs[k];
-    if (!exports_to(route.cls, nbr.rel)) continue;
-    if (nbr.id == route.via) continue;  // split horizon
-    if (config_.policy.stub_first_hop_filter && route.cls == RouteClass::Self &&
-        route.origin == Origin::Attacker && nbr.rel == Rel::Provider &&
-        is_stub_[v]) {
-      continue;
-    }
+    const std::uint32_t edge = base + k;
+    const AdjRib::Export kind = rib_.export_action(v, nbr);
+    if (kind == AdjRib::Export::Withdraw && announced_[edge] == 0) continue;
+    announced_[edge] = kind == AdjRib::Export::Announce;
+
     Message msg;
-    msg.time = now + delay_[base + k];
+    msg.time = now + delay_[edge];
     msg.seq = next_seq_++;
     msg.from = v;
     msg.to = nbr.id;
-    msg.to_slot = mirror_[base + k];
-    msg.origin = route.origin;
-    msg.len = static_cast<std::uint16_t>(route.path_len + 1);
-    msg.path = best_path_[v];
+    msg.rib_idx = rib_.mirror_index(edge, nbr.id);
+    msg.kind = kind;
+    if (kind == AdjRib::Export::Announce) {
+      msg.entry = rib_.offered(v, nbr);
+      msg.path = rib_.path_of(v);
+    }
     queue_.push(std::move(msg));
   }
 }
 
-bool EventEngine::deliver(const Message& msg, const ValidatorSet* validators) {
-  const AsId to = msg.to;
-  if (msg.origin == Origin::Attacker && validators != nullptr &&
-      (*validators)[to] != 0) {
-    ++validator_drop_count_;
-    if (prov_ != nullptr) {
-      prov_->record_edge(obs::make_edge(obs::InfectionEdgeKind::Blocked, to,
-                                        msg.from, 0, msg.len));
-    }
-    return false;
-  }
-  if (std::find(msg.path.begin(), msg.path.end(), to) != msg.path.end()) {
-    return false;  // loop
-  }
-
-  const std::uint32_t rib_idx = edge_offset_[to] + msg.to_slot;
-  const RibEntry old = rib_[rib_idx];
-  const auto nbrs = graph_.neighbors(to);
-  const RouteClass cls = route_class_from(nbrs[msg.to_slot].rel);
-  const bool replaced_same = old.cls == cls && old.origin == msg.origin &&
-                             old.len == msg.len && rib_path_[rib_idx] == msg.path;
-  rib_[rib_idx] = RibEntry{msg.origin, cls, msg.len};
-  rib_path_[rib_idx] = msg.path;
-
-  const bool is_t1 = config_.policy.as_is_tier1(to);
-  Route& best = best_[to];
-
-  if (best_slot_[to] == rib_idx) {
-    if (replaced_same) return false;
-    if (!rank_better(best.cls, best.path_len, cls, msg.len, is_t1,
-                     config_.policy.tier1_shortest_path)) {
-      const Route before = best;
-      best.origin = msg.origin;
-      best.cls = cls;
-      best.path_len = msg.len;
-      best_path_[to].assign(1, to);
-      best_path_[to].insert(best_path_[to].end(), msg.path.begin(), msg.path.end());
-      record_provenance(to, best, before);
-      return true;
-    }
-    reselect(to);
-    return true;
-  }
-
-  if (strictly_better(best.cls, best.path_len, cls, msg.len, is_t1,
-                      config_.policy.tier1_shortest_path)) {
-    const Route before = best;
-    best = Route{msg.origin, cls, msg.len, msg.from};
-    best_slot_[to] = rib_idx;
-    best_path_[to].assign(1, to);
-    best_path_[to].insert(best_path_[to].end(), msg.path.begin(), msg.path.end());
-    record_provenance(to, best, before);
-    return true;
-  }
-  return false;
-}
-
-void EventEngine::reselect(AsId v) {
-  const Route before = best_[v];
-  const bool is_t1 = config_.policy.as_is_tier1(v);
-  const std::uint32_t base = edge_offset_[v];
-  const auto nbrs = graph_.neighbors(v);
-  Route best{};
-  std::uint32_t best_idx = kSelfSlot;
-  for (std::uint32_t k = 0; k < nbrs.size(); ++k) {
-    const RibEntry& entry = rib_[base + k];
-    if (entry.cls == RouteClass::None) continue;
-    if (best_idx == kSelfSlot ||
-        rank_better(entry.cls, entry.len, best.cls, best.path_len, is_t1,
-                    config_.policy.tier1_shortest_path)) {
-      best = Route{entry.origin, entry.cls, entry.len, nbrs[k].id};
-      best_idx = base + k;
-    }
-  }
-  best_[v] = best;
-  best_slot_[v] = best_idx;
-  if (best_idx != kSelfSlot) {
-    best_path_[v].assign(1, v);
-    best_path_[v].insert(best_path_[v].end(), rib_path_[best_idx].begin(),
-                         rib_path_[best_idx].end());
-  } else {
-    best_path_[v].clear();
-  }
-  record_provenance(v, best_[v], before);
-}
-
-void EventEngine::record_provenance(AsId to, const Route& now,
-                                    const Route& before) {
-  if (prov_ == nullptr) return;
-  const bool now_bad = now.origin == Origin::Attacker;
-  const bool was_bad = before.origin == Origin::Attacker;
-  if (!now_bad && !was_bad) return;
-  if (now_bad && was_bad && now.via == before.via &&
-      now.path_len == before.path_len) {
-    return;  // still the same bogus route; nothing changed materially
-  }
-  prov_->record_edge(obs::make_edge(
-      now_bad ? obs::InfectionEdgeKind::Adopt : obs::InfectionEdgeKind::Cure,
-      to, now.valid() ? now.via : to, 0, now.path_len, before.path_len,
-      static_cast<std::uint8_t>(before.origin)));
-}
-
 EventRunStats EventEngine::announce(AsId origin, Origin tag, double at_time,
                                     const ValidatorSet* validators) {
-  BGPSIM_REQUIRE(origin < graph_.num_ases(), "announce: origin out of range");
+  const AsGraph& graph = rib_.graph();
+  BGPSIM_REQUIRE(origin < graph.num_ases(), "announce: origin out of range");
   BGPSIM_REQUIRE(tag != Origin::None, "announce: tag must be Legit or Attacker");
-  BGPSIM_REQUIRE(validators == nullptr || validators->size() == graph_.num_ases(),
+  BGPSIM_REQUIRE(validators == nullptr || validators->size() == graph.num_ases(),
                  "validator set size mismatch");
   BGPSIM_TIMED_SCOPE("event.announce");
   BGPSIM_EVENT(::bgpsim::obs::EventRecord ev("run_start");
                ev.str("engine", "event");
-               ev.u64("origin_asn", graph_.asn(origin));
+               ev.u64("origin_asn", graph.asn(origin));
                ev.str("tag", to_string(tag));
                ev.f64("at_time", at_time);
                ev.emit());
-  validator_drop_count_ = 0;
 
-  best_[origin] = Route{tag, RouteClass::Self, 1, kInvalidAs};
-  best_slot_[origin] = kSelfSlot;
-  best_path_[origin].assign(1, origin);
+  rib_.originate(origin, tag);
   if (tag == Origin::Attacker && first_bogus_[origin] < 0.0) {
     first_bogus_[origin] = at_time;
   }
@@ -232,7 +78,7 @@ EventRunStats EventEngine::announce(AsId origin, Origin tag, double at_time,
   [[maybe_unused]] std::size_t queue_peak = queue_.size();
   while (!queue_.empty()) {
     if (queue_.size() > queue_peak) queue_peak = queue_.size();
-    if (stats.messages_delivered >= config_.max_events) {
+    if (stats.messages_delivered >= max_events_) {
       stats.converged = false;
       break;
     }
@@ -240,20 +86,31 @@ EventRunStats EventEngine::announce(AsId origin, Origin tag, double at_time,
     queue_.pop();
     ++stats.messages_delivered;
     stats.quiescent_time = msg.time;
-    if (deliver(msg, validators)) {
-      ++stats.messages_accepted;
-      if (best_[msg.to].origin == Origin::Attacker && first_bogus_[msg.to] < 0.0) {
-        first_bogus_[msg.to] = msg.time;
-      }
-      schedule_exports(msg.to, msg.time);
+    bool changed = false;
+    switch (msg.kind) {
+      case AdjRib::Export::Announce:
+        changed = rib_.deliver(msg.from, msg.to, msg.rib_idx, msg.entry,
+                               msg.path, validators);
+        break;
+      case AdjRib::Export::Withdraw:
+        changed = rib_.withdraw(msg.to, msg.rib_idx);
+        break;
+      case AdjRib::Export::Filtered:
+        changed = rib_.drop_filtered(msg.to, msg.rib_idx);
+        break;
     }
+    if (!changed) continue;
+    ++stats.messages_accepted;
+    if (rib_.route(msg.to).origin == Origin::Attacker &&
+        first_bogus_[msg.to] < 0.0) {
+      first_bogus_[msg.to] = msg.time;
+    }
+    schedule_exports(msg.to, msg.time);
   }
 
   BGPSIM_COUNTER_ADD("engine.event_msgs_delivered", stats.messages_delivered);
   BGPSIM_COUNTER_ADD("engine.event_msgs_accepted", stats.messages_accepted);
-  if (validator_drop_count_ != 0) {
-    BGPSIM_COUNTER_ADD("defense.validator_drops", validator_drop_count_);
-  }
+  rib_.flush_validator_drops();
   // The event engine has no synchronous frontier; the in-flight message
   // queue's high-water mark is its convergence-shape equivalent.
   BGPSIM_HISTOGRAM_OBSERVE("engine.event_queue_peak",

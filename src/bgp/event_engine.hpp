@@ -2,13 +2,15 @@
 //
 // The paper's simulator is generation-synchronous ("in the next simulated
 // clock tick"), which cannot express *when* things happen. This engine
-// delivers each announcement after a deterministic per-link latency drawn
-// once at construction, processing a global time-ordered event queue with
-// the exact same policy (Adj-RIB-In, LOCAL_PREF, valley-free export, loop
-// rejection) as GenerationEngine. It answers two questions the synchronous
-// model cannot:
+// delivers each UPDATE or WITHDRAW after a deterministic per-link latency
+// drawn once at construction, processing a global time-ordered event queue.
+// What a delivery does (Adj-RIB-In, LOCAL_PREF, valley-free export, loop
+// rejection, treat-as-withdraw) is GenerationEngine's own propagation core
+// (bgp/adj_rib.hpp); only the scheduler differs. It answers two questions
+// the synchronous model cannot:
 //   * are the paper's end-state results robust to asynchronous timing?
-//     (tests assert end-state agreement with GenerationEngine), and
+//     (the same origin, route class and path length at every AS as
+//     GenerationEngine; audit_runner and the tests assert it), and
 //   * how long until a detector's probe sees a hijack? (first_bogus_time).
 #pragma once
 
@@ -16,6 +18,7 @@
 #include <queue>
 #include <vector>
 
+#include "bgp/adj_rib.hpp"
 #include "bgp/policy.hpp"
 #include "bgp/types.hpp"
 #include "topology/as_graph.hpp"
@@ -58,10 +61,12 @@ class EventEngine {
   EventRunStats announce(AsId origin, Origin tag, double at_time,
                          const ValidatorSet* validators = nullptr);
 
-  const AsGraph& graph() const { return graph_; }
-  const Route& route(AsId v) const { return best_[v]; }
-  void export_routes(RouteTable& out) const { out.routes = best_; }
-  std::uint32_t count_origin(Origin origin) const;
+  const AsGraph& graph() const { return rib_.graph(); }
+  const Route& route(AsId v) const { return rib_.route(v); }
+  void export_routes(RouteTable& out) const { rib_.export_routes(out); }
+  std::uint32_t count_origin(Origin origin) const {
+    return rib_.count_origin(origin);
+  }
 
   /// Time the AS first *selected* an Attacker-tagged route, or a negative
   /// value when it never did. Survives across announce() calls until reset().
@@ -69,14 +74,16 @@ class EventEngine {
 
   /// One-way delay of the directed link (u -> its k-th neighbor).
   double link_delay(AsId u, std::uint32_t slot) const {
-    return delay_[edge_offset_[u] + slot];
+    return delay_[rib_.first_edge(u) + slot];
   }
 
   /// Record infection edges (adopt/cure/blocked; see obs/provenance.hpp)
   /// into `recorder` during subsequent announce() calls; nullptr stops
   /// recording. The event engine has no generation clock, so the edge
   /// `generation` field is always 0. Recording never changes routing.
-  void set_provenance(obs::ProvenanceRecorder* recorder) { prov_ = recorder; }
+  void set_provenance(obs::ProvenanceRecorder* recorder) {
+    rib_.set_provenance(recorder);
+  }
 
  private:
   struct Message {
@@ -84,10 +91,10 @@ class EventEngine {
     std::uint64_t seq = 0;  ///< deterministic tiebreak for equal timestamps
     AsId from = kInvalidAs;
     AsId to = kInvalidAs;
-    std::uint32_t to_slot = 0;  ///< position of `from` in `to`'s adjacency
-    Origin origin = Origin::None;
-    std::uint16_t len = 0;
-    std::vector<AsId> path;
+    std::uint32_t rib_idx = 0;  ///< where it lands in `to`'s Adj-RIB-In
+    AdjRib::Export kind = AdjRib::Export::Announce;
+    AdjRib::Entry entry;         ///< Announce only
+    std::vector<AsId> path;      ///< Announce only
 
     bool operator>(const Message& other) const {
       if (time != other.time) return time > other.time;
@@ -95,44 +102,21 @@ class EventEngine {
     }
   };
 
-  struct RibEntry {
-    Origin origin = Origin::None;
-    RouteClass cls = RouteClass::None;
-    std::uint16_t len = 0;
-  };
-
+  /// Queue what v's current selection owes each neighbor, sent at `now`.
   void schedule_exports(AsId v, double now);
-  bool deliver(const Message& msg, const ValidatorSet* validators);
-  void reselect(AsId v);
-  /// Provenance hook: emit an adopt/cure edge when `now` differs materially
-  /// from `before` and either side is Attacker-origin. No-op when unarmed.
-  void record_provenance(AsId to, const Route& now, const Route& before);
 
-  const AsGraph& graph_;
-  EventEngineConfig config_;
+  AdjRib rib_;
+  std::uint64_t max_events_;
 
-  std::vector<std::uint32_t> edge_offset_;
-  std::vector<std::uint32_t> mirror_;
   std::vector<double> delay_;  // per directed edge
-  std::vector<std::uint8_t> is_stub_;
-
-  std::vector<RibEntry> rib_;
-  std::vector<std::vector<AsId>> rib_path_;
-  static constexpr std::uint32_t kSelfSlot = 0xffffffffu;
-  std::vector<Route> best_;
-  std::vector<std::uint32_t> best_slot_;
-  std::vector<std::vector<AsId>> best_path_;
+  // Per directed edge: was the last message sent an announcement? A WITHDRAW
+  // is due only then. The receiver's Adj-RIB-In cannot tell, because that
+  // announcement may still be in flight.
+  std::vector<std::uint8_t> announced_;
   std::vector<double> first_bogus_;
 
   std::priority_queue<Message, std::vector<Message>, std::greater<>> queue_;
   std::uint64_t next_seq_ = 0;
-
-  // Validator rejections during the current announce(); flushed to the
-  // defense.validator_drops counter when it returns.
-  std::uint64_t validator_drop_count_ = 0;
-
-  // Pollution provenance (see set_provenance / obs/provenance.hpp).
-  obs::ProvenanceRecorder* prov_ = nullptr;
 };
 
 }  // namespace bgpsim

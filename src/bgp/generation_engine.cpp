@@ -9,181 +9,15 @@
 namespace bgpsim {
 
 GenerationEngine::GenerationEngine(const AsGraph& graph, PolicyConfig config)
-    : graph_(graph), config_(std::move(config)) {
-  validate_engine_inputs(graph_, config_);
-  const std::uint32_t n = graph_.num_ases();
-
-  edge_offset_.assign(n + 1, 0);
-  for (AsId v = 0; v < n; ++v) {
-    edge_offset_[v + 1] = edge_offset_[v] + graph_.degree(v);
-  }
-  const std::uint32_t total_edges = edge_offset_[n];
-
-  // mirror_[edge_offset_[u] + k]: position of u inside neighbors(v) where
-  // v = neighbors(u)[k]. Lets deliver() address v's Adj-RIB-In slot in O(1).
-  mirror_.assign(total_edges, 0);
-  for (AsId u = 0; u < n; ++u) {
-    const auto nbrs_u = graph_.neighbors(u);
-    for (std::uint32_t k = 0; k < nbrs_u.size(); ++k) {
-      const AsId v = nbrs_u[k].id;
-      const auto nbrs_v = graph_.neighbors(v);
-      const auto it = std::lower_bound(
-          nbrs_v.begin(), nbrs_v.end(), u,
-          [](const Neighbor& nb, AsId id) { return nb.id < id; });
-      BGPSIM_ASSERT(it != nbrs_v.end() && it->id == u, "asymmetric adjacency");
-      mirror_[edge_offset_[u] + k] =
-          static_cast<std::uint32_t>(it - nbrs_v.begin());
-    }
-  }
-
-  is_stub_.assign(n, 1);
-  for (AsId v = 0; v < n; ++v) {
-    for (const auto& nbr : graph_.neighbors(v)) {
-      if (nbr.rel == Rel::Customer) {
-        is_stub_[v] = 0;
-        break;
-      }
-    }
-  }
-
-  rib_.assign(total_edges, RibEntry{});
-  rib_path_.resize(total_edges);
-  best_.assign(n, Route{});
-  best_slot_.assign(n, kSelfSlot);
-  best_path_.resize(n);
-  changed_flag_.assign(n, 0);
-  offered_bogus_.assign(n, 0);
-  reset();
+    : rib_(graph, std::move(config)) {
+  changed_flag_.assign(graph.num_ases(), 0);
 }
 
 void GenerationEngine::reset() {
-  std::fill(rib_.begin(), rib_.end(), RibEntry{});
-  std::fill(best_.begin(), best_.end(), Route{});
-  std::fill(best_slot_.begin(), best_slot_.end(), kSelfSlot);
-  for (auto& path : best_path_) path.clear();
-  // rib_path_ contents are stale but unreachable: entries with
-  // RouteClass::None are never read.
+  rib_.reset();
   std::fill(changed_flag_.begin(), changed_flag_.end(), 0);
-  std::fill(offered_bogus_.begin(), offered_bogus_.end(), 0);
   frontier_.clear();
   next_frontier_.clear();
-}
-
-void GenerationEngine::export_routes(RouteTable& out) const {
-  out.routes = best_;
-}
-
-std::uint32_t GenerationEngine::count_origin(Origin origin) const {
-  std::uint32_t count = 0;
-  for (const Route& r : best_) count += (r.origin == origin);
-  return count;
-}
-
-void GenerationEngine::record_provenance(AsId to, const Route& now,
-                                         const Route& before) {
-  if (prov_ == nullptr) return;
-  const bool now_bad = now.origin == Origin::Attacker;
-  const bool was_bad = before.origin == Origin::Attacker;
-  if (!now_bad && !was_bad) return;
-  if (now_bad && was_bad && now.via == before.via &&
-      now.path_len == before.path_len) {
-    return;  // still the same bogus route; nothing changed materially
-  }
-  prov_->record_edge(obs::make_edge(
-      now_bad ? obs::InfectionEdgeKind::Adopt : obs::InfectionEdgeKind::Cure,
-      to, now.valid() ? now.via : to, current_generation_, now.path_len,
-      before.path_len, static_cast<std::uint8_t>(before.origin)));
-}
-
-bool GenerationEngine::withdraw(AsId to, std::uint32_t rib_idx) {
-  if (rib_[rib_idx].cls == RouteClass::None) return false;
-  rib_[rib_idx] = RibEntry{};
-  rib_path_[rib_idx].clear();
-  if (best_slot_[to] == rib_idx) {
-    reselect(to);
-    return true;
-  }
-  return false;
-}
-
-bool GenerationEngine::deliver(AsId from, AsId to, std::uint32_t to_slot,
-                               const RibEntry& entry,
-                               const std::vector<AsId>& path,
-                               const ValidatorSet* validators) {
-  if (entry.origin == Origin::Attacker) offered_bogus_[to] = 1;
-
-  const std::uint32_t rib_idx = edge_offset_[to] + to_slot;
-
-  // An UPDATE replaces whatever this neighbor announced before, so a rejected
-  // one leaves no route behind (RFC 7606 treat-as-withdraw). Without this,
-  // the receiver keeps using a route its neighbor no longer has.
-  //
-  // Route-origin validation: a deploying AS drops bogus announcements.
-  if (entry.origin == Origin::Attacker && validators != nullptr &&
-      (*validators)[to] != 0) {
-    ++validator_drop_count_;
-    if (prov_ != nullptr) {
-      prov_->record_edge(obs::make_edge(obs::InfectionEdgeKind::Blocked, to,
-                                        from, current_generation_, entry.len));
-    }
-    return withdraw(to, rib_idx);
-  }
-  // Loop rejection: the receiver appears in the announced AS path.
-  if (std::find(path.begin(), path.end(), to) != path.end()) {
-    return withdraw(to, rib_idx);
-  }
-
-  const RibEntry old = rib_[rib_idx];
-  const bool replaced_same = old.cls == entry.cls && old.origin == entry.origin &&
-                             old.len == entry.len && rib_path_[rib_idx] == path;
-  rib_[rib_idx] = entry;
-  rib_path_[rib_idx] = path;
-
-  const bool is_t1 = config_.as_is_tier1(to);
-  Route& best = best_[to];
-
-  if (best_slot_[to] == rib_idx) {
-    // Implicit withdraw: the neighbor replaced the route we were using.
-    if (replaced_same) return false;
-    const bool improved = rank_better(entry.cls, entry.len, best.cls,
-                                      best.path_len, is_t1,
-                                      config_.tier1_shortest_path);
-    const bool degraded = rank_better(best.cls, best.path_len, entry.cls,
-                                      entry.len, is_t1,
-                                      config_.tier1_shortest_path);
-    // Keep using the same neighbor when the replacement is still guaranteed
-    // best: strictly improved (nothing else in the Adj-RIB-In can displace
-    // it), or equal rank without downgrading to the attacker's origin (an
-    // equal-rank legitimate route elsewhere in the RIB would win the tie).
-    if (improved ||
-        (!degraded && (entry.origin == best.origin ||
-                       entry.origin == Origin::Legit))) {
-      const Route before = best;
-      best.origin = entry.origin;
-      best.cls = entry.cls;
-      best.path_len = entry.len;
-      best_path_[to].assign(1, to);
-      best_path_[to].insert(best_path_[to].end(), path.begin(), path.end());
-      record_provenance(to, best, before);
-      return true;
-    }
-    // Degraded (or an equal-rank origin downgrade): fall back to the full
-    // Adj-RIB-In.
-    reselect(to);
-    return true;
-  }
-
-  if (displaces(best.origin, best.cls, best.path_len, entry.origin, entry.cls,
-                entry.len, is_t1, config_.tier1_shortest_path)) {
-    const Route before = best;
-    best = Route{entry.origin, entry.cls, entry.len, from};
-    best_slot_[to] = rib_idx;
-    best_path_[to].assign(1, to);
-    best_path_[to].insert(best_path_[to].end(), path.begin(), path.end());
-    record_provenance(to, best, before);
-    return true;
-  }
-  return false;
 }
 
 void GenerationEngine::set_decision_watch(AsId watched, DecisionHistory* history) {
@@ -192,7 +26,7 @@ void GenerationEngine::set_decision_watch(AsId watched, DecisionHistory* history
   (void)history;
 #else
   if (history != nullptr) {
-    BGPSIM_REQUIRE(watched < graph_.num_ases(),
+    BGPSIM_REQUIRE(watched < graph().num_ases(),
                    "set_decision_watch: AS out of range");
     history->watched = watched;
   }
@@ -207,33 +41,34 @@ void GenerationEngine::snapshot_watch(std::uint32_t generation) {
   (void)generation;
 #else
   const AsId v = watch_as_;
-  const bool is_t1 = config_.as_is_tier1(v);
+  const PolicyConfig& config = rib_.config();
+  const bool is_t1 = config.as_is_tier1(v);
 
   DecisionSnapshot snap;
   snap.announce_round = watch_round_;
   snap.generation = generation;
-  snap.selected = best_[v];
-  snap.selected_path = best_path_[v];
+  snap.selected = rib_.route(v);
+  snap.selected_path = rib_.path_of(v);
 
-  if (best_slot_[v] == kSelfSlot && best_[v].valid()) {
+  if (snap.selected.cls == RouteClass::Self) {
     DecisionCandidate self;
     self.neighbor = kInvalidAs;
-    self.origin = best_[v].origin;
+    self.origin = snap.selected.origin;
     self.cls = RouteClass::Self;
-    self.len = best_[v].path_len;
+    self.len = snap.selected.path_len;
     snap.candidates.push_back(std::move(self));
   }
-  const std::uint32_t base = edge_offset_[v];
-  const auto nbrs = graph_.neighbors(v);
+  const std::uint32_t base = rib_.first_edge(v);
+  const auto nbrs = graph().neighbors(v);
   for (std::uint32_t k = 0; k < nbrs.size(); ++k) {
-    const RibEntry& entry = rib_[base + k];
+    const AdjRib::Entry& entry = rib_.entry(base + k);
     if (entry.cls == RouteClass::None) continue;
     DecisionCandidate cand;
     cand.neighbor = nbrs[k].id;
     cand.origin = entry.origin;
     cand.cls = entry.cls;
     cand.len = entry.len;
-    cand.path = rib_path_[base + k];
+    cand.path = rib_.entry_path(base + k);
     snap.candidates.push_back(std::move(cand));
   }
 
@@ -243,11 +78,11 @@ void GenerationEngine::snapshot_watch(std::uint32_t generation) {
       snap.candidates.begin(), snap.candidates.end(),
       [&](const DecisionCandidate& a, const DecisionCandidate& b) {
         if (rank_better(a.cls, a.len, b.cls, b.len, is_t1,
-                        config_.tier1_shortest_path)) {
+                        config.tier1_shortest_path)) {
           return true;
         }
         if (rank_better(b.cls, b.len, a.cls, a.len, is_t1,
-                        config_.tier1_shortest_path)) {
+                        config.tier1_shortest_path)) {
           return false;
         }
         return a.origin == Origin::Legit && b.origin == Origin::Attacker;
@@ -264,7 +99,7 @@ void GenerationEngine::snapshot_watch(std::uint32_t generation) {
                                    " candidates")
                       : losing_reason(snap.selected, cand.origin, cand.cls,
                                       cand.len, is_t1,
-                                      config_.tier1_shortest_path);
+                                      config.tier1_shortest_path);
   }
 
   // Record only generations where the watched state actually moved.
@@ -289,71 +124,31 @@ void GenerationEngine::snapshot_watch(std::uint32_t generation) {
 #endif
 }
 
-void GenerationEngine::reselect(AsId v) {
-  const bool is_t1 = config_.as_is_tier1(v);
-  const std::uint32_t base = edge_offset_[v];
-  const auto nbrs = graph_.neighbors(v);
-  const Route before = best_[v];
-  Route best{};
-  std::uint32_t best_idx = kSelfSlot;
-  for (std::uint32_t k = 0; k < nbrs.size(); ++k) {
-    const RibEntry& entry = rib_[base + k];
-    if (entry.cls == RouteClass::None) continue;
-    // Ascending slot order keeps the remaining full ties on the lowest
-    // neighbor id, matching EquilibriumEngine's tie order.
-    if (best_idx == kSelfSlot ||
-        displaces(best.origin, best.cls, best.path_len, entry.origin,
-                  entry.cls, entry.len, is_t1, config_.tier1_shortest_path)) {
-      best = Route{entry.origin, entry.cls, entry.len, nbrs[k].id};
-      best_idx = base + k;
-    }
-  }
-  best_[v] = best;
-  best_slot_[v] = best_idx;
-  if (best_idx != kSelfSlot) {
-    best_path_[v].assign(1, v);
-    best_path_[v].insert(best_path_[v].end(), rib_path_[best_idx].begin(),
-                         rib_path_[best_idx].end());
-  } else {
-    best_path_[v].clear();
-  }
-  record_provenance(v, best, before);
-}
-
 ConvergeStats GenerationEngine::announce(AsId origin, Origin tag,
                                          const ValidatorSet* validators,
                                          PropagationTrace* trace,
                                          AsId forged_tail) {
-  BGPSIM_REQUIRE(origin < graph_.num_ases(), "announce: origin out of range");
+  const AsGraph& graph = rib_.graph();
+  BGPSIM_REQUIRE(origin < graph.num_ases(), "announce: origin out of range");
   BGPSIM_REQUIRE(tag != Origin::None, "announce: tag must be Legit or Attacker");
-  BGPSIM_REQUIRE(validators == nullptr || validators->size() == graph_.num_ases(),
+  BGPSIM_REQUIRE(validators == nullptr || validators->size() == graph.num_ases(),
                  "validator set size mismatch");
   BGPSIM_REQUIRE(forged_tail == kInvalidAs ||
-                     (forged_tail < graph_.num_ases() && forged_tail != origin),
+                     (forged_tail < graph.num_ases() && forged_tail != origin),
                  "announce: bad forged_tail");
 
   BGPSIM_TIMED_SCOPE("generation.announce");
-  validator_drop_count_ = 0;
-  current_generation_ = 0;
 
   BGPSIM_EVENT(::bgpsim::obs::EventRecord ev("run_start");
                ev.str("engine", "generation");
-               ev.u64("origin_asn", graph_.asn(origin));
+               ev.u64("origin_asn", graph.asn(origin));
                ev.str("tag", to_string(tag));
                ev.boolean("forged_path", forged_tail != kInvalidAs);
                ev.emit());
 
   ConvergeStats stats;
 
-  // Originate: a self route always wins locally (the attacker overrides any
-  // legitimate route it holds for the hijacked prefix).
-  best_path_[origin].assign(1, origin);
-  if (forged_tail != kInvalidAs) best_path_[origin].push_back(forged_tail);
-  best_[origin] = Route{tag, RouteClass::Self,
-                        static_cast<std::uint16_t>(best_path_[origin].size()),
-                        kInvalidAs};
-  best_slot_[origin] = kSelfSlot;
-
+  rib_.originate(origin, tag, forged_tail);
   frontier_.assign(1, origin);
   changed_flag_[origin] = 1;
 
@@ -365,7 +160,7 @@ ConvergeStats GenerationEngine::announce(AsId origin, Origin tag,
 #endif
 
   // Safety cap only; Gao–Rexford-compatible policies converge long before.
-  const std::uint32_t generation_cap = 4 * graph_.num_ases() + 16;
+  const std::uint32_t generation_cap = 4 * graph.num_ases() + 16;
 
 #if !defined(BGPSIM_OBS_DISABLED)
   ::bgpsim::obs::StopWatch gen_watch;
@@ -373,7 +168,7 @@ ConvergeStats GenerationEngine::announce(AsId origin, Origin tag,
 
   while (!frontier_.empty() && stats.generations < generation_cap) {
     ++stats.generations;
-    current_generation_ = stats.generations;
+    rib_.set_generation(stats.generations);
     next_frontier_.clear();
     std::sort(frontier_.begin(), frontier_.end());
 
@@ -392,77 +187,48 @@ ConvergeStats GenerationEngine::announce(AsId origin, Origin tag,
 
     for (const AsId v : frontier_) {
       changed_flag_[v] = 0;
-      const Route& route = best_[v];
-      const std::vector<AsId>& announce_path = best_path_[v];
-      const RibEntry entry{route.origin, RouteClass::None,
-                           static_cast<std::uint16_t>(route.path_len + 1)};
-      const std::uint32_t base = edge_offset_[v];
-      const auto nbrs = graph_.neighbors(v);
+      const std::vector<AsId>& announce_path = rib_.path_of(v);
+      const std::uint32_t base = rib_.first_edge(v);
+      const auto nbrs = graph.neighbors(v);
       for (std::uint32_t k = 0; k < nbrs.size(); ++k) {
         const Neighbor& nbr = nbrs[k];
-        const std::uint32_t peer_rib_idx =
-            edge_offset_[nbr.id] + mirror_[base + k];
-        // Valley-free export plus poison reverse: no route, a route class
-        // this edge must not carry, or a route through the neighbor itself
-        // all mean "nothing to offer". If an earlier selection WAS exported
-        // on this edge, the neighbor still holds it, so send an explicit
-        // WITHDRAW — announce-only propagation would leave the neighbor
-        // routing through a path that no longer exists (e.g. below a tier-1
-        // that switched from its customer route to a shorter peer route).
-        const bool exportable = route.valid() && exports_to(route.cls, nbr.rel) &&
-                                nbr.id != route.via;
-        if (!exportable) {
-          if (rib_[peer_rib_idx].cls == RouteClass::None) continue;
-          ++stats.messages_sent;
-          ++stats.withdrawals;
-          const bool changed = withdraw(nbr.id, peer_rib_idx);
-          if (changed) {
-            ++stats.messages_accepted;
-            if (!changed_flag_[nbr.id]) {
-              changed_flag_[nbr.id] = 1;
-              next_frontier_.push_back(nbr.id);
-            }
-          }
-          if (trace != nullptr) {
-            frame.edges.emplace_back(v, nbr.id, changed, best_[nbr.id].origin);
-          }
-          continue;
+        const std::uint32_t peer_rib_idx = rib_.mirror_index(base + k, nbr.id);
+        const AdjRib::Export action = rib_.export_action(v, nbr);
+        bool changed = false;
+        switch (action) {
+          case AdjRib::Export::Withdraw:
+            // Nothing to offer. If an earlier selection WAS exported on this
+            // edge, the neighbor still holds it (no message is in flight
+            // between generations), so send an explicit WITHDRAW —
+            // announce-only propagation would leave the neighbor routing
+            // through a path that no longer exists (e.g. below a tier-1 that
+            // switched from its customer route to a shorter peer route).
+            if (!rib_.holds(peer_rib_idx)) continue;
+            ++stats.messages_sent;
+            ++stats.withdrawals;
+            changed = rib_.withdraw(nbr.id, peer_rib_idx);
+            break;
+          case AdjRib::Export::Filtered:
+            // The provider still *receives* the bogus origination before
+            // discarding it ("heard" detection semantics). Not traced.
+            ++stats.messages_sent;
+            changed = rib_.drop_filtered(nbr.id, peer_rib_idx);
+            break;
+          case AdjRib::Export::Announce:
+            ++stats.messages_sent;
+            changed = rib_.deliver(v, nbr.id, peer_rib_idx, rib_.offered(v, nbr),
+                                   announce_path, validators);
+            break;
         }
-        // Optimistic first-hop defense (fig. 4): a provider knows its *stub*
-        // customers' prefixes and drops a bogus origination arriving directly
-        // from one (transit customers legitimately re-announce third-party
-        // prefixes, so they cannot be filtered this way).
-        if (config_.stub_first_hop_filter && route.cls == RouteClass::Self &&
-            route.origin == Origin::Attacker && nbr.rel == Rel::Provider &&
-            is_stub_[v]) {
-          // The provider still *receives* the bogus origination before
-          // discarding it ("heard" detection semantics); the discarded
-          // update still replaces (withdraws) the stub's earlier route.
-          offered_bogus_[nbr.id] = 1;
-          ++stats.messages_sent;
-          if (withdraw(nbr.id, peer_rib_idx)) {
-            ++stats.messages_accepted;
-            if (!changed_flag_[nbr.id]) {
-              changed_flag_[nbr.id] = 1;
-              next_frontier_.push_back(nbr.id);
-            }
-          }
-          continue;
-        }
-        RibEntry delivered = entry;
-        delivered.cls = route_class_from(inverse(nbr.rel));
-        ++stats.messages_sent;
-        const bool accepted = deliver(v, nbr.id, mirror_[base + k], delivered,
-                                      announce_path, validators);
-        if (accepted) {
+        if (changed) {
           ++stats.messages_accepted;
           if (!changed_flag_[nbr.id]) {
             changed_flag_[nbr.id] = 1;
             next_frontier_.push_back(nbr.id);
           }
         }
-        if (trace != nullptr) {
-          frame.edges.emplace_back(v, nbr.id, accepted, best_[nbr.id].origin);
+        if (trace != nullptr && action != AdjRib::Export::Filtered) {
+          frame.edges.emplace_back(v, nbr.id, changed, rib_.route(nbr.id).origin);
         }
       }
     }
@@ -527,9 +293,7 @@ ConvergeStats GenerationEngine::announce(AsId origin, Origin tag,
   BGPSIM_COUNTER_ADD("engine.msgs_propagated", stats.messages_sent);
   BGPSIM_COUNTER_ADD("engine.msgs_accepted", stats.messages_accepted);
   BGPSIM_COUNTER_ADD("engine.withdrawals", stats.withdrawals);
-  if (validator_drop_count_ != 0) {
-    BGPSIM_COUNTER_ADD("defense.validator_drops", validator_drop_count_);
-  }
+  rib_.flush_validator_drops();
   BGPSIM_HISTOGRAM_OBSERVE("engine.generations_to_converge",
                            ::bgpsim::obs::HistogramSpec::linear(0, 64, 64),
                            stats.generations);

@@ -7,15 +7,18 @@
 //  convergence is reached. Convergence is generally reached within 5 to 10
 //  generations."
 //
-// This engine keeps full AS paths (for loop rejection and visualization) and
-// per-generation traces for the paper's polar-graph figures. For bulk
-// parameter sweeps use EquilibriumEngine, which computes the same stable
-// state in one O(V+E) pass; their agreement is validated in tests.
+// This engine is the synchronous scheduler over the shared propagation core
+// (bgp/adj_rib.hpp, which keeps full AS paths for loop rejection and
+// visualization); it adds per-generation traces for the paper's polar-graph
+// figures. For bulk parameter sweeps use EquilibriumEngine, which computes
+// the same stable state in one O(V+E) pass; their agreement is validated in
+// tests.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "bgp/adj_rib.hpp"
 #include "bgp/policy.hpp"
 #include "bgp/types.hpp"
 #include "topology/as_graph.hpp"
@@ -84,25 +87,27 @@ class GenerationEngine {
                          PropagationTrace* trace = nullptr,
                          AsId forged_tail = kInvalidAs);
 
-  const AsGraph& graph() const { return graph_; }
+  const AsGraph& graph() const { return rib_.graph(); }
 
   /// Selected route of each AS (valid after announce()).
-  const Route& route(AsId v) const { return best_[v]; }
+  const Route& route(AsId v) const { return rib_.route(v); }
 
   /// Copy the selected-route table (origin/class/len/via per AS).
-  void export_routes(RouteTable& out) const;
+  void export_routes(RouteTable& out) const { rib_.export_routes(out); }
 
   /// True when at least one Attacker-tagged announcement was *delivered* to
   /// this AS (even if rejected by validation, loop check, or preference).
   /// Distinguishes the paper's "received and propagated onwards" detection
   /// semantics (route(v).origin == Attacker) from plain "received".
-  bool offered_bogus(AsId v) const { return offered_bogus_[v] != 0; }
+  bool offered_bogus(AsId v) const { return rib_.offered_bogus(v); }
 
   /// Full AS path of v's selected route: [v, next hop, ..., origin].
   /// Empty when v has no route; [v] when v originates the prefix.
-  const std::vector<AsId>& path_of(AsId v) const { return best_path_[v]; }
+  const std::vector<AsId>& path_of(AsId v) const { return rib_.path_of(v); }
 
-  std::uint32_t count_origin(Origin origin) const;
+  std::uint32_t count_origin(Origin origin) const {
+    return rib_.count_origin(origin);
+  }
 
   /// Record `watched`'s per-generation decision snapshots (Adj-RIB-In
   /// candidates, rank, why displaced) into `history` during subsequent
@@ -115,61 +120,19 @@ class GenerationEngine {
   /// into `recorder` during subsequent announce() calls; nullptr stops
   /// recording. Recording never changes routing decisions — traced and
   /// untraced runs converge bit-identically.
-  void set_provenance(obs::ProvenanceRecorder* recorder) { prov_ = recorder; }
+  void set_provenance(obs::ProvenanceRecorder* recorder) {
+    rib_.set_provenance(recorder);
+  }
 
  private:
-  struct RibEntry {
-    Origin origin = Origin::None;
-    RouteClass cls = RouteClass::None;
-    std::uint16_t len = 0;
-  };
-
-  bool deliver(AsId from, AsId to, std::uint32_t to_slot, const RibEntry& entry,
-               const std::vector<AsId>& path, const ValidatorSet* validators);
-  /// Clear the Adj-RIB-In entry at rib_idx; reselect when it was the
-  /// receiver's selected route. Returns true when the selection changed.
-  bool withdraw(AsId to, std::uint32_t rib_idx);
-  void reselect(AsId v);
   void snapshot_watch(std::uint32_t generation);
-  /// Provenance hook: emit an adopt/cure edge when `now` differs materially
-  /// from `before` and either side is Attacker-origin. No-op when unarmed.
-  void record_provenance(AsId to, const Route& now, const Route& before);
 
-  const AsGraph& graph_;
-  PolicyConfig config_;
-
-  // CSR mirror: for u's k-th neighbor v, mirror_[offset(u)+k] is the slot of
-  // u inside v's neighbor list — O(1) Adj-RIB-In addressing.
-  std::vector<std::uint32_t> edge_offset_;  // per AS, into rib arrays
-  std::vector<std::uint32_t> mirror_;
-
-  // Adj-RIB-In, one entry per directed edge (indexed edge_offset_[v] + slot).
-  std::vector<RibEntry> rib_;
-  std::vector<std::vector<AsId>> rib_path_;
-
-  // Selected route per AS. best_slot_ is the Adj-RIB-In slot of the selected
-  // route, or kSelfSlot for a self-originated one.
-  static constexpr std::uint32_t kSelfSlot = 0xffffffffu;
-  std::vector<Route> best_;
-  std::vector<std::uint32_t> best_slot_;
-  std::vector<std::vector<AsId>> best_path_;
-
-  std::vector<std::uint8_t> is_stub_;  // for the first-hop stub filter
-  std::vector<std::uint8_t> offered_bogus_;
+  AdjRib rib_;
 
   // Scratch for the propagation loop.
   std::vector<std::uint8_t> changed_flag_;
   std::vector<AsId> frontier_;
   std::vector<AsId> next_frontier_;
-  std::vector<AsId> scratch_path_;
-
-  // Validator rejections during the current announce(); flushed to the
-  // defense.validator_drops counter when it returns.
-  std::uint64_t validator_drop_count_ = 0;
-
-  // Pollution provenance (see set_provenance / obs/provenance.hpp).
-  obs::ProvenanceRecorder* prov_ = nullptr;
-  std::uint32_t current_generation_ = 0;  ///< for edge records; 0 = origination
 
   // Decision introspection (see set_decision_watch / bgp/introspect.hpp).
   DecisionHistory* watch_history_ = nullptr;

@@ -48,29 +48,10 @@ constexpr int local_pref(RouteClass cls) {
   return 0;
 }
 
-/// True when (cand_cls, cand_len) is *strictly* preferred over the incumbent
-/// at an AS. The paper's acceptance rule: higher LOCAL_PREF wins; on equal
-/// LOCAL_PREF only a strictly shorter path replaces the incumbent (so the
-/// first-arrived route keeps ties — which is why hijacks are injected only
-/// after the legitimate route converges). Tier-1 ASes compare length first.
-constexpr bool strictly_better(RouteClass inc_cls, std::uint16_t inc_len,
-                               RouteClass cand_cls, std::uint16_t cand_len,
-                               bool is_tier1, bool tier1_shortest_path) {
-  if (inc_cls == RouteClass::None) return cand_cls != RouteClass::None;
-  if (inc_cls == RouteClass::Self) return false;
-  if (cand_cls == RouteClass::Self) return true;
-  if (is_tier1 && tier1_shortest_path) {
-    return cand_len < inc_len;
-  }
-  const int inc_pref = local_pref(inc_cls);
-  const int cand_pref = local_pref(cand_cls);
-  if (cand_pref != inc_pref) return cand_pref > inc_pref;
-  return cand_len < inc_len;
-}
-
-/// Deterministic total order used when an AS must re-select from its Adj-RIB-In
-/// (after an implicit withdraw degraded its best route): prefer higher rank;
-/// ties broken by the caller in ascending neighbor order.
+/// Rank order of the routes at one AS: higher LOCAL_PREF, then the shorter
+/// path (a tier-1 with the shortest-path quirk compares length first). True
+/// when (a_cls, a_len) ranks strictly above (b_cls, b_len); displaces() adds
+/// the origin tie-break on top.
 constexpr bool rank_better(RouteClass a_cls, std::uint16_t a_len, RouteClass b_cls,
                            std::uint16_t b_len, bool is_tier1,
                            bool tier1_shortest_path) {

@@ -16,46 +16,70 @@ TEST(Policy, LocalPrefOrdering) {
   EXPECT_GT(local_pref(RouteClass::Provider), local_pref(RouteClass::None));
 }
 
-TEST(Policy, StrictlyBetterPrefersHigherClass) {
+// displaces(inc_origin, inc_cls, inc_len, cand_origin, cand_cls, cand_len,
+// is_tier1, tier1_shortest_path): does the candidate replace the incumbent?
+constexpr Origin kL = Origin::Legit;
+constexpr Origin kA = Origin::Attacker;
+
+TEST(Policy, DisplacesPrefersHigherClass) {
   // Customer route beats peer/provider routes regardless of length.
-  EXPECT_TRUE(strictly_better(RouteClass::Peer, 2, RouteClass::Customer, 9, false, true));
-  EXPECT_TRUE(
-      strictly_better(RouteClass::Provider, 2, RouteClass::Customer, 9, false, true));
-  EXPECT_FALSE(
-      strictly_better(RouteClass::Customer, 9, RouteClass::Peer, 2, false, true));
+  EXPECT_TRUE(displaces(kL, RouteClass::Peer, 2, kL, RouteClass::Customer, 9,
+                        false, true));
+  EXPECT_TRUE(displaces(kL, RouteClass::Provider, 2, kL, RouteClass::Customer, 9,
+                        false, true));
+  EXPECT_FALSE(displaces(kL, RouteClass::Customer, 9, kL, RouteClass::Peer, 2,
+                         false, true));
 }
 
-TEST(Policy, StrictlyBetterNeedsStrictlyShorterOnEqualClass) {
+TEST(Policy, DisplacesNeedsStrictlyShorterOnEqualClass) {
   // Paper: "a new announcement is accepted only if it has a shorter path".
-  EXPECT_TRUE(strictly_better(RouteClass::Peer, 5, RouteClass::Peer, 4, false, true));
-  EXPECT_FALSE(strictly_better(RouteClass::Peer, 5, RouteClass::Peer, 5, false, true));
-  EXPECT_FALSE(strictly_better(RouteClass::Peer, 5, RouteClass::Peer, 6, false, true));
+  EXPECT_TRUE(displaces(kL, RouteClass::Peer, 5, kL, RouteClass::Peer, 4, false,
+                        true));
+  EXPECT_FALSE(displaces(kL, RouteClass::Peer, 5, kL, RouteClass::Peer, 6, false,
+                         true));
+}
+
+TEST(Policy, DisplacesBreaksEqualRankByOrigin) {
+  // Equal rank: the legitimate route wins against an attacker incumbent...
+  EXPECT_TRUE(displaces(kA, RouteClass::Peer, 5, kL, RouteClass::Peer, 5, false,
+                        true));
+  // ...and otherwise the incumbent keeps the tie.
+  EXPECT_FALSE(displaces(kA, RouteClass::Peer, 5, kA, RouteClass::Peer, 5, false,
+                         true));
 }
 
 TEST(Policy, EmptyIncumbentAlwaysLoses) {
-  EXPECT_TRUE(strictly_better(RouteClass::None, 0, RouteClass::Provider, 99, false, true));
-  EXPECT_FALSE(strictly_better(RouteClass::None, 0, RouteClass::None, 0, false, true));
+  EXPECT_TRUE(displaces(Origin::None, RouteClass::None, 0, kL,
+                        RouteClass::Provider, 99, false, true));
+  EXPECT_FALSE(displaces(Origin::None, RouteClass::None, 0, Origin::None,
+                         RouteClass::None, 0, false, true));
 }
 
 TEST(Policy, SelfRouteIsSticky) {
-  EXPECT_FALSE(strictly_better(RouteClass::Self, 1, RouteClass::Customer, 1, false, true));
-  EXPECT_TRUE(strictly_better(RouteClass::Provider, 3, RouteClass::Self, 1, false, true));
+  EXPECT_FALSE(displaces(kL, RouteClass::Self, 1, kL, RouteClass::Customer, 1,
+                         false, true));
+  EXPECT_TRUE(displaces(kL, RouteClass::Provider, 3, kL, RouteClass::Self, 1,
+                        false, true));
 }
 
 TEST(Policy, Tier1ComparesLengthFirst) {
   // A tier-1 swaps its customer route for a shorter peer route...
-  EXPECT_TRUE(strictly_better(RouteClass::Customer, 4, RouteClass::Peer, 3, true, true));
+  EXPECT_TRUE(displaces(kL, RouteClass::Customer, 4, kL, RouteClass::Peer, 3,
+                        true, true));
   // ...but not when the quirk is disabled...
-  EXPECT_FALSE(strictly_better(RouteClass::Customer, 4, RouteClass::Peer, 3, true, false));
+  EXPECT_FALSE(displaces(kL, RouteClass::Customer, 4, kL, RouteClass::Peer, 3,
+                         true, false));
   // ...and not at a non-tier-1 AS.
-  EXPECT_FALSE(strictly_better(RouteClass::Customer, 4, RouteClass::Peer, 3, false, true));
+  EXPECT_FALSE(displaces(kL, RouteClass::Customer, 4, kL, RouteClass::Peer, 3,
+                         false, true));
   // Equal length never displaces at a tier-1 either.
-  EXPECT_FALSE(strictly_better(RouteClass::Customer, 3, RouteClass::Peer, 3, true, true));
+  EXPECT_FALSE(displaces(kL, RouteClass::Customer, 3, kL, RouteClass::Peer, 3,
+                         true, true));
 }
 
 TEST(Policy, RankBetterTotalOrder) {
-  // rank_better is used for Adj-RIB-In re-selection; check the class order
-  // and the tier-1 variant.
+  // rank_better is the rank part of displaces(); check the class order and
+  // the tier-1 variant.
   EXPECT_TRUE(rank_better(RouteClass::Customer, 9, RouteClass::Peer, 2, false, true));
   EXPECT_TRUE(rank_better(RouteClass::Peer, 2, RouteClass::Peer, 3, false, true));
   EXPECT_FALSE(rank_better(RouteClass::Peer, 3, RouteClass::Peer, 3, false, true));

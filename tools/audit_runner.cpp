@@ -3,12 +3,15 @@
 // Generates a synthetic Internet, then runs the two independently implemented
 // routing engines (GenerationEngine: message-passing reconstruction of the
 // paper's simulator; EquilibriumEngine: O(V+E) fixed-point) side by side over
-// a batch of hijack scenarios and checks:
+// a batch of hijack scenarios, plus EventEngine (the generation engine's
+// propagation core under per-link delays drawn from --seed), and checks:
 //   * audit_route_table() is clean on every equilibrium table (loop-free,
 //     valley-free, consistent via chains and lengths),
 //   * every GenerationEngine stored path is loop-free and valley-free,
 //   * origin_agreement == 1.0 — the engines pick the same origin everywhere
-//     (the paper's pollution metrics depend only on this choice).
+//     (the paper's pollution metrics depend only on this choice),
+//   * EventEngine matches GenerationEngine on origin, route class and path
+//     length at every AS (asynchronous timing may only change `via` ties).
 //
 // This is the runtime counterpart of the paper's RouteViews validation (62 %
 // exact/equivalent matches): two engines written from different designs
@@ -24,6 +27,7 @@
 #include <string>
 
 #include "bgp/equilibrium_engine.hpp"
+#include "bgp/event_engine.hpp"
 #include "bgp/generation_engine.hpp"
 #include "bgp/route_audit.hpp"
 #include "support/rng.hpp"
@@ -78,22 +82,31 @@ void explain_route(const bgpsim::AsGraph& graph, const char* label,
   std::cout << '\n';
 }
 
-void explain_disagreements(const bgpsim::AsGraph& graph,
-                           const bgpsim::RouteTable& eq_table,
+bool same_origin(const bgpsim::Route& a, const bgpsim::Route& b) {
+  return a.origin == b.origin;
+}
+
+bool same_outcome(const bgpsim::Route& a, const bgpsim::Route& b) {
+  return a.origin == b.origin && a.cls == b.cls && a.path_len == b.path_len;
+}
+
+template <typename Agree>
+void explain_disagreements(const bgpsim::AsGraph& graph, const char* label,
+                           const bgpsim::RouteTable& table,
                            const bgpsim::RouteTable& gen_table,
                            const bgpsim::GenerationEngine& generation,
-                           const bgpsim::PolicyConfig& config) {
+                           const bgpsim::PolicyConfig& config, Agree agree) {
   using namespace bgpsim;
   std::uint32_t shown = 0;
   for (AsId v = 0; v < graph.num_ases(); ++v) {
-    if (eq_table.routes[v].origin == gen_table.routes[v].origin) continue;
+    if (agree(table.routes[v], gen_table.routes[v])) continue;
     if (++shown > 16) {
       std::cout << "  ... (more disagreements elided)\n";
       break;
     }
     std::cout << "  AS " << v << " disagrees (tier1=" << config.as_is_tier1(v)
               << "):\n";
-    explain_route(graph, "equilibrium", eq_table.routes[v], v);
+    explain_route(graph, label, table.routes[v], v);
     explain_route(graph, "generation ", gen_table.routes[v], v);
     std::cout << "    generation path:";
     for (const AsId hop : generation.path_of(v)) std::cout << ' ' << hop;
@@ -116,7 +129,8 @@ struct Failure {
 void audit_scenario(const Options& opts, const bgpsim::AsGraph& graph,
                     const bgpsim::PolicyConfig& config,
                     bgpsim::EquilibriumEngine& equilibrium,
-                    bgpsim::GenerationEngine& generation, bgpsim::AsId victim,
+                    bgpsim::GenerationEngine& generation,
+                    bgpsim::EventEngine& event, bgpsim::AsId victim,
                     bgpsim::AsId attacker, Failure& failure) {
   using namespace bgpsim;
 
@@ -160,7 +174,35 @@ void audit_scenario(const Options& opts, const bgpsim::AsGraph& graph,
                    "origin agreement " + std::to_string(agreement) +
                        " != 1.0 between engines");
     if (opts.explain) {
-      explain_disagreements(graph, eq_table, gen_table, generation, config);
+      explain_disagreements(graph, "equilibrium", eq_table, gen_table,
+                            generation, config, same_origin);
+    }
+  }
+
+  // The same propagation core under per-link delays: asynchronous timing may
+  // reorder `via` ties but must reach the same stable state.
+  event.reset();
+  const auto event_legit = event.announce(victim, Origin::Legit, 0.0);
+  const auto event_attack = event.announce(attacker, Origin::Attacker,
+                                           event_legit.quiescent_time + 1.0);
+  if (!event_legit.converged || !event_attack.converged) {
+    failure.report(opts, victim, attacker, "event engine did not converge");
+    return;
+  }
+  RouteTable event_table;
+  event.export_routes(event_table);
+  std::uint32_t event_mismatches = 0;
+  for (AsId v = 0; v < graph.num_ases(); ++v) {
+    event_mismatches += !same_outcome(event_table.routes[v], gen_table.routes[v]);
+  }
+  if (event_mismatches != 0) {
+    failure.report(opts, victim, attacker,
+                   "event engine differs from generation engine in origin, "
+                   "class or length at " +
+                       std::to_string(event_mismatches) + " AS(es)");
+    if (opts.explain) {
+      explain_disagreements(graph, "event      ", event_table, gen_table,
+                            generation, config, same_outcome);
     }
   }
 }
@@ -211,11 +253,15 @@ int main(int argc, char** argv) {
 
   EquilibriumEngine equilibrium(graph, config);
   GenerationEngine generation(graph, config);
+  EventEngineConfig event_config;
+  event_config.policy = config;
+  event_config.delay_seed = derive_seed(opts.seed, 0xe7e47ULL);
+  EventEngine event(graph, event_config);
 
   Failure failure;
   std::uint32_t scenarios = 0;
   if (opts.victim >= 0) {
-    audit_scenario(opts, graph, config, equilibrium, generation,
+    audit_scenario(opts, graph, config, equilibrium, generation, event,
                    static_cast<AsId>(opts.victim),
                    static_cast<AsId>(opts.attacker), failure);
     ++scenarios;
@@ -225,8 +271,8 @@ int main(int argc, char** argv) {
       const AsId victim = static_cast<AsId>(rng.bounded(graph.num_ases()));
       AsId attacker = static_cast<AsId>(rng.bounded(graph.num_ases()));
       if (attacker == victim) attacker = (attacker + 1) % graph.num_ases();
-      audit_scenario(opts, graph, config, equilibrium, generation, victim,
-                     attacker, failure);
+      audit_scenario(opts, graph, config, equilibrium, generation, event,
+                     victim, attacker, failure);
       ++scenarios;
     }
   }
