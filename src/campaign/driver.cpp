@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "defense/deployment.hpp"
-#include "defense/filter_set.hpp"
+#include "detect/detector.hpp"
 #include "detect/probe_set.hpp"
 #include "hijack/hijack_simulator.hpp"
 #include "obs/json.hpp"
@@ -18,27 +18,6 @@
 namespace bgpsim::campaign {
 
 namespace {
-
-/// Converged-table analogue of detect::first_detection_generation: the
-/// bogus route reaches path length L at generation L-1 (the attacker
-/// self-originates at length 1, generation 0), so the earliest tick a
-/// probe could alarm is min over triggered probes of (path_len - 1).
-struct DetectionProxy {
-  std::uint32_t triggered = 0;
-  std::uint32_t first_gen = 0;
-};
-
-DetectionProxy detection_proxy(const RouteTable& routes, const ProbeSet& probes) {
-  DetectionProxy out;
-  for (const AsId probe : probes.probes()) {
-    const Route& route = routes.routes[probe];
-    if (route.origin != Origin::Attacker) continue;
-    const std::uint32_t gen = route.path_len > 0 ? route.path_len - 1U : 0U;
-    if (out.triggered == 0 || gen < out.first_gen) out.first_gen = gen;
-    ++out.triggered;
-  }
-  return out;
-}
 
 /// Mutable per-stratum campaign state. Touched by exactly one worker per
 /// round (parallel_chunks hands each worker a disjoint stratum range) and
@@ -107,11 +86,8 @@ CampaignResult run_campaign(const Scenario& scenario,
   // Optional ROV deployment and detection probes, shared read-only.
   std::optional<ValidatorSet> validators;
   if (spec.deployment_top > 0) {
-    FilterSet filters(graph.num_ases());
-    for (const AsId id : top_k_deployment(graph, spec.deployment_top).deployers) {
-      filters.add(id);
-    }
-    validators = filters.bitset();
+    validators =
+        to_filter_set(graph, top_k_deployment(graph, spec.deployment_top)).bitset();
   }
   std::optional<ProbeSet> probes;
   if (spec.probes > 0) probes.emplace(ProbeSet::top_k(graph, spec.probes));
@@ -204,16 +180,14 @@ CampaignResult run_campaign(const Scenario& scenario,
               }
               const SamplePair pair = sampler.draw(*run.stratum, run.index, i);
               const AttackResult attack = run.sim->attack(pair.victim, pair.attacker);
-              bool detected = false;
-              std::uint32_t first_gen = 0;
-              if (probes) {
-                const DetectionProxy d = detection_proxy(run.sim->routes(), *probes);
-                detected = d.triggered > 0;
-                first_gen = d.first_gen;
-              }
+              const DetectionOutcome detection =
+                  probes ? evaluate_detection(run.sim->routes(), *probes)
+                         : DetectionOutcome{};
               shard.add(attack.polluted_ases);
               run.est.add_sample(attack.polluted_ases, run.sim->last_attack_warm(),
-                                 detected, first_gen, pair.reservoir_word);
+                                 detection.detected(),
+                                 detection.first_generation_proxy,
+                                 pair.reservoir_word);
               run.next = i + 1;
               BGPSIM_PROGRESS_TICK();
             }

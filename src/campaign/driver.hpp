@@ -16,9 +16,10 @@
 // Pooling uses the standard stratified formulas over attacker-population
 // weights w_s: mean = Σ w_s·μ_s, Var(mean) = Σ w_s²·σ_s²/n_s, CI half-width
 // = z·√Var. "Pollution fraction" divides polluted-AS counts by the AS total;
-// "first-detection generation" is the converged-table proxy min(path_len−1)
-// over triggered probes (one hop per generation; equals the generation-
-// engine detection tick at the fixed point the warm path restores).
+// "first-detection generation" is evaluate_detection's converged-table proxy
+// min(path_len−1) over triggered probes. It is not the generation-engine
+// replay /v1/attack reports; DetectionOutcome::first_generation_proxy
+// (detect/detector.hpp) gives the measured disagreement.
 #pragma once
 
 #include <atomic>

@@ -19,9 +19,13 @@ DetectionOutcome evaluate_detection(const RouteTable& routes,
   DetectionOutcome outcome;
   for (const AsId probe : probes.probes()) {
     BGPSIM_REQUIRE(probe < routes.routes.size(), "probe outside route table");
-    if (routes.routes[probe].origin == Origin::Attacker) {
-      ++outcome.probes_triggered;
+    const Route& route = routes.routes[probe];
+    if (route.origin != Origin::Attacker) continue;
+    const std::uint32_t gen = route.path_len > 0 ? route.path_len - 1U : 0U;
+    if (outcome.probes_triggered == 0 || gen < outcome.first_generation_proxy) {
+      outcome.first_generation_proxy = gen;
     }
+    ++outcome.probes_triggered;
   }
   record_outcome(outcome);
   return outcome;

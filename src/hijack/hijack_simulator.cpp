@@ -6,32 +6,6 @@
 
 namespace bgpsim {
 
-namespace {
-
-/// Event-log record for the moment the bogus announcement enters the system.
-/// Free function (not a macro arg) so every attack entry point shares it.
-void log_attack_injected(const AsGraph& graph, AsId target, AsId attacker,
-                         const char* kind, bool forged_origin, const char* engine,
-                         bool validators) {
-  BGPSIM_EVENT(::bgpsim::obs::EventRecord ev("attack_injected");
-               ev.u64("target_asn", graph.asn(target));
-               ev.u64("attacker_asn", graph.asn(attacker));
-               ev.str("kind", kind);
-               ev.boolean("forged_origin", forged_origin);
-               ev.str("engine", engine);
-               ev.boolean("validators", validators);
-               ev.emit());
-  (void)graph;
-  (void)target;
-  (void)attacker;
-  (void)kind;
-  (void)forged_origin;
-  (void)engine;
-  (void)validators;
-}
-
-}  // namespace
-
 HijackSimulator::HijackSimulator(const AsGraph& graph, SimConfig config)
     : graph_(graph), config_(std::move(config)),
       equilibrium_(graph_, config_.policy) {
@@ -46,8 +20,8 @@ obs::ProvenanceRecorder* HijackSimulator::arm_trace() {
   if (prov != nullptr) prov->begin_attack();
   last_prov_ = prov;
   equilibrium_.set_provenance(prov);
-  // generation_engine() re-applies last_prov_ on every access, so a lazily
-  // constructed engine cannot miss the arming.
+  // attack_ex arms the generation engine itself when it runs it, so the
+  // lazily constructed engine cannot miss the arming.
   return prov;
 }
 
@@ -79,67 +53,30 @@ bool HijackSimulator::try_warm_attack(AsId target, AsId attacker,
   return true;
 }
 
-GenerationEngine& HijackSimulator::generation_engine() {
-  if (!generation_) generation_.emplace(graph_, config_.policy);
-  generation_->set_provenance(last_prov_);
-  return *generation_;
-}
-
-AttackResult HijackSimulator::attack(AsId target, AsId attacker) {
-  BGPSIM_REQUIRE(target < graph_.num_ases(), "target out of range");
-  BGPSIM_REQUIRE(attacker < graph_.num_ases(), "attacker out of range");
-  BGPSIM_REQUIRE(target != attacker, "attacker must differ from target");
-
-  last_attack_warm_ = false;
-  obs::ProvenanceRecorder* prov = arm_trace();
-  const ValidatorSet* validators = validators_ ? &*validators_ : nullptr;
-  const bool is_eq = config_.engine == EngineKind::Equilibrium;
-  log_attack_injected(graph_, target, attacker, "exact", false,
-                      is_eq ? "equilibrium" : "generation",
-                      validators != nullptr);
-  if (is_eq) {
-    if (try_warm_attack(target, attacker, /*attacker_seed_len=*/1, validators)) {
-      last_attack_warm_ = true;
-    } else {
-      // Drop any edges a budget-tripped warm repair recorded: the cold
-      // engine re-derives the full infection history from scratch.
-      if (prov != nullptr) prov->begin_attack();
-      equilibrium_.compute_hijack(target, attacker, validators, table_);
-    }
-    return summarize(target, attacker, 0);
-  }
-  GenerationEngine& engine = generation_engine();
-  engine.reset();
-  const auto legit = engine.announce(target, Origin::Legit, validators);
-  const auto bogus = engine.announce(attacker, Origin::Attacker, validators);
-  engine.export_routes(table_);
-  return summarize(target, attacker, legit.generations + bogus.generations);
-}
-
 ExtendedAttackResult HijackSimulator::attack_ex(AsId target, AsId attacker,
                                                 const AttackOptions& options,
                                                 const RpkiContext* rpki) {
   BGPSIM_REQUIRE(target < graph_.num_ases(), "target out of range");
   BGPSIM_REQUIRE(attacker < graph_.num_ases(), "attacker out of range");
   BGPSIM_REQUIRE(target != attacker, "attacker must differ from target");
+  BGPSIM_REQUIRE(options.history == nullptr ||
+                     options.history->watched < graph_.num_ases(),
+                 "watched AS out of range");
 
   last_attack_warm_ = false;
   obs::ProvenanceRecorder* prov = arm_trace();
   ExtendedAttackResult result;
-  result.target = target;
-  result.attacker = attacker;
+  const bool sub_prefix = options.kind == AttackKind::SubPrefix;
 
   // What goes on the wire.
   if (rpki != nullptr && rpki->allocation != nullptr) {
     const Prefix& owned = rpki->allocation->primary(target);
-    result.announced = (options.kind == AttackKind::SubPrefix && owned.length() < 32)
-                           ? owned.split().first
-                           : owned;
+    result.announced =
+        (sub_prefix && owned.length() < 32) ? owned.split().first : owned;
   } else {
     // No allocation: a representative prefix (exact) or more-specific.
     const Prefix base = Prefix::make(0x0a000000, 16);  // 10.0.0.0/16 stand-in
-    result.announced =
-        options.kind == AttackKind::SubPrefix ? base.split().first : base;
+    result.announced = sub_prefix ? base.split().first : base;
   }
   result.claimed_origin =
       options.forged_origin ? graph_.asn(target) : graph_.asn(attacker);
@@ -160,98 +97,57 @@ ExtendedAttackResult HijackSimulator::attack_ex(AsId target, AsId attacker,
   const AsId forged_tail = options.forged_origin ? target : kInvalidAs;
   const auto attacker_seed_len =
       static_cast<std::uint16_t>(options.forged_origin ? 2 : 1);
+  // A trace or a decision history is only observable on the generation
+  // engine, so asking for either one runs the attack there.
+  const bool on_generation = config_.engine == EngineKind::Generation ||
+                             options.trace != nullptr ||
+                             options.history != nullptr;
 
-  log_attack_injected(graph_, target, attacker,
-                      options.kind == AttackKind::SubPrefix ? "subprefix"
-                                                            : "exact",
-                      options.forged_origin,
-                      config_.engine == EngineKind::Equilibrium ? "equilibrium"
-                                                                : "generation",
-                      result.validators_engaged);
+  BGPSIM_EVENT(::bgpsim::obs::EventRecord ev("attack_injected");
+               ev.u64("target_asn", graph_.asn(target));
+               ev.u64("attacker_asn", graph_.asn(attacker));
+               ev.str("kind", sub_prefix ? "subprefix" : "exact");
+               ev.boolean("forged_origin", options.forged_origin);
+               ev.str("engine", on_generation ? "generation" : "equilibrium");
+               ev.boolean("validators", result.validators_engaged);
+               ev.emit());
 
-  if (options.kind == AttackKind::SubPrefix) {
+  if (on_generation) {
+    if (!generation_) generation_.emplace(graph_, config_.policy);
+    GenerationEngine& engine = *generation_;
+    engine.set_provenance(prov);
+    engine.reset();
+    if (options.history != nullptr) options.history->snapshots.clear();
+    engine.set_decision_watch(
+        options.history != nullptr ? options.history->watched : kInvalidAs,
+        options.history);
     // The bogus more-specific never competes with the covering legitimate
     // route: a single-origin propagation decides who installs it.
-    if (config_.engine == EngineKind::Equilibrium) {
-      equilibrium_.compute_single(attacker, Origin::Attacker, attacker_seed_len,
-                                  validators, table_);
-    } else {
-      GenerationEngine& engine = generation_engine();
-      engine.reset();
-      const auto stats = engine.announce(attacker, Origin::Attacker, validators,
-                                         nullptr, forged_tail);
-      engine.export_routes(table_);
-      result.generations = stats.generations;
+    if (!sub_prefix) {
+      result.generations =
+          engine.announce(target, Origin::Legit, validators).generations;
     }
+    result.generations += engine.announce(attacker, Origin::Attacker, validators,
+                                          options.trace, forged_tail)
+                              .generations;
+    engine.set_decision_watch(kInvalidAs, nullptr);
+    engine.export_routes(table_);
+  } else if (sub_prefix) {
+    equilibrium_.compute_single(attacker, Origin::Attacker, attacker_seed_len,
+                                validators, table_);
+  } else if (try_warm_attack(target, attacker, attacker_seed_len, validators)) {
+    last_attack_warm_ = true;
   } else {
-    if (config_.engine == EngineKind::Equilibrium) {
-      if (try_warm_attack(target, attacker, attacker_seed_len, validators)) {
-        last_attack_warm_ = true;
-      } else {
-        // See attack(): discard partial warm-repair edges before the cold run.
-        if (prov != nullptr) prov->begin_attack();
-        equilibrium_.compute_hijack(target, attacker, validators, table_,
-                                    attacker_seed_len);
-      }
-    } else {
-      GenerationEngine& engine = generation_engine();
-      engine.reset();
-      const auto legit = engine.announce(target, Origin::Legit, validators);
-      const auto bogus = engine.announce(attacker, Origin::Attacker, validators,
-                                         nullptr, forged_tail);
-      engine.export_routes(table_);
-      result.generations = legit.generations + bogus.generations;
-    }
+    // Drop any edges a budget-tripped warm repair recorded: the cold engine
+    // re-derives the full infection history from scratch.
+    if (prov != nullptr) prov->begin_attack();
+    equilibrium_.compute_hijack(target, attacker, validators, table_,
+                                attacker_seed_len);
   }
 
   static_cast<AttackResult&>(result) =
       summarize(target, attacker, result.generations);
   return result;
-}
-
-AttackResult HijackSimulator::attack_with_trace(AsId target, AsId attacker,
-                                                PropagationTrace& trace) {
-  BGPSIM_REQUIRE(target < graph_.num_ases(), "target out of range");
-  BGPSIM_REQUIRE(attacker < graph_.num_ases(), "attacker out of range");
-  BGPSIM_REQUIRE(target != attacker, "attacker must differ from target");
-
-  last_attack_warm_ = false;
-  arm_trace();
-  const ValidatorSet* validators = validators_ ? &*validators_ : nullptr;
-  log_attack_injected(graph_, target, attacker, "exact", false, "generation",
-                      validators != nullptr);
-  GenerationEngine& engine = generation_engine();
-  engine.reset();
-  engine.announce(target, Origin::Legit, validators);
-  const auto bogus = engine.announce(attacker, Origin::Attacker, validators, &trace);
-  engine.export_routes(table_);
-  return summarize(target, attacker, bogus.generations);
-}
-
-AttackResult HijackSimulator::attack_explained(AsId target, AsId attacker,
-                                               AsId watched,
-                                               DecisionHistory& history) {
-  BGPSIM_REQUIRE(target < graph_.num_ases(), "target out of range");
-  BGPSIM_REQUIRE(attacker < graph_.num_ases(), "attacker out of range");
-  BGPSIM_REQUIRE(target != attacker, "attacker must differ from target");
-  BGPSIM_REQUIRE(watched < graph_.num_ases(), "watched AS out of range");
-
-  history.watched = watched;
-  history.snapshots.clear();
-
-  last_attack_warm_ = false;
-  arm_trace();
-  const ValidatorSet* validators = validators_ ? &*validators_ : nullptr;
-  log_attack_injected(graph_, target, attacker, "exact", false, "generation",
-                      validators != nullptr);
-  GenerationEngine& engine = generation_engine();
-  engine.reset();
-  engine.set_decision_watch(watched, &history);
-  const auto legit = engine.announce(target, Origin::Legit, validators);
-  const auto bogus = engine.announce(attacker, Origin::Attacker, validators);
-  engine.set_decision_watch(kInvalidAs, nullptr);
-  engine.export_routes(table_);
-  return summarize(target, attacker, legit.generations + bogus.generations);
 }
 
 AttackResult HijackSimulator::summarize(AsId target, AsId attacker,
@@ -277,9 +173,8 @@ AttackResult HijackSimulator::summarize(AsId target, AsId attacker,
                        static_cast<double>(total);
 
   BGPSIM_COUNTER_ADD("hijack.attacks", 1);
-  // Campaign progress: every attack entry point (attack, attack_ex,
-  // attack_with_trace, attack_explained) funnels through here, so this is
-  // the one place a finished attack is counted.
+  // Campaign progress: every attack runs through attack_ex and ends here,
+  // so this is the one place a finished attack is counted.
   BGPSIM_PROGRESS_TICK();
   BGPSIM_GAUGE_SET("mem.rib_routes", table_.routes.size());
   BGPSIM_GAUGE_SET("mem.rib_bytes_est", table_.memory_bytes());

@@ -47,7 +47,9 @@ struct AttackResult {
   /// ASes holding any route for the prefix (denominator sanity check).
   std::uint32_t routed_ases = 0;
 
-  /// Propagation generations (generation engine only; 0 otherwise).
+  /// Generations the generation engine ran for this attack: legitimate plus
+  /// attacker announcement (the attacker's alone for a sub-prefix attack);
+  /// 0 on the equilibrium engine.
   std::uint32_t generations = 0;
 };
 
@@ -65,6 +67,18 @@ struct AttackOptions {
   /// announcement is not Invalid — but the path is one hop longer, and the
   /// victim itself rejects it by loop detection.
   bool forged_origin = false;
+
+  /// Observation facets. Either one runs the attack on the generation
+  /// engine whatever SimConfig::engine says (the same origins, classes and
+  /// path lengths as the equilibrium engine; `generations` is then nonzero).
+  /// `trace` records the attacker announcement's per-generation frames
+  /// (drives the paper's polar-graph figures and detection replay).
+  PropagationTrace* trace = nullptr;
+  /// Per-generation route-decision history of the AS the caller names in
+  /// `history->watched`, over both announcements (drives the CLI's
+  /// `--explain <asn>`). Cleared first; stays empty under -DBGPSIM_OBS=OFF
+  /// (introspection compiles out).
+  DecisionHistory* history = nullptr;
 };
 
 /// Optional RPKI context: when present, the deployed validators only drop
@@ -126,29 +140,29 @@ class HijackSimulator {
   /// Whether the most recent attack was answered from a warm baseline.
   bool last_attack_warm() const { return last_attack_warm_; }
 
-  /// Simulate `attacker` hijacking `target`'s prefix.
-  AttackResult attack(AsId target, AsId attacker);
-
-  /// Extended attack: sub-prefix and/or forged-origin announcements, with
-  /// optional RPKI-aware validation. For sub-prefix attacks the pollution
-  /// counts every AS that installs a route for the bogus more-specific
-  /// (longest-prefix match diverts its traffic regardless of the covering
-  /// legitimate route).
+  /// Simulate `attacker` hijacking `target`'s prefix: converge the
+  /// legitimate announcement, inject the attacker, account the pollution.
+  /// The one attack implementation; the forms below forward to it. Handles
+  /// sub-prefix and/or forged-origin announcements, optional RPKI-aware
+  /// validation, and the trace/history facets of `options`. For sub-prefix
+  /// attacks the pollution counts every AS that installs a route for the
+  /// bogus more-specific (longest-prefix match diverts its traffic
+  /// regardless of the covering legitimate route).
   ExtendedAttackResult attack_ex(AsId target, AsId attacker,
                                  const AttackOptions& options,
                                  const RpkiContext* rpki = nullptr);
 
-  /// Same, but always on the generation engine, recording per-generation
-  /// frames (drives the paper's polar-graph visualizations).
-  AttackResult attack_with_trace(AsId target, AsId attacker,
-                                 PropagationTrace& trace);
+  /// Exact-prefix attack with the configured engine.
+  AttackResult attack(AsId target, AsId attacker) {
+    return attack_ex(target, attacker, {});
+  }
 
-  /// attack() on the generation engine, recording the per-generation
-  /// route-decision history of `watched` into `history` (drives the CLI's
-  /// `--explain <asn>`). Under -DBGPSIM_OBS=OFF the attack still runs but
-  /// the history stays empty (introspection compiles out).
-  AttackResult attack_explained(AsId target, AsId attacker, AsId watched,
-                                DecisionHistory& history);
+  /// Exact-prefix attack on the generation engine, recording the attacker
+  /// announcement's per-generation frames into `trace`.
+  AttackResult attack_with_trace(AsId target, AsId attacker,
+                                 PropagationTrace& trace) {
+    return attack_ex(target, attacker, {.trace = &trace});
+  }
 
   /// Route table of the most recent attack.
   const RouteTable& routes() const { return table_; }
@@ -158,12 +172,10 @@ class HijackSimulator {
 
  private:
   AttackResult summarize(AsId target, AsId attacker, std::uint32_t generations) const;
-  GenerationEngine& generation_engine();
 
   /// Resolve the effective provenance recorder for one attack (external >
   /// env-armed > none), reset it, arm the engines, and remember it for
-  /// summarize(). Every attack entry point calls this exactly once, before
-  /// any engine runs.
+  /// summarize(). attack_ex calls this exactly once, before any engine runs.
   obs::ProvenanceRecorder* arm_trace();
 
   /// Try to answer an exact-prefix equilibrium attack from the attached

@@ -58,6 +58,23 @@ std::uint64_t parse_job_id(std::string_view target) {
   return id;
 }
 
+/// Parse a request body that must be one JSON object; false + `error` (the
+/// 400 message) otherwise.
+bool parse_object(const std::string& body, obs::JsonValue& doc,
+                  std::string& error) {
+  try {
+    doc = obs::JsonValue::parse(body);
+  } catch (const ParseError& e) {
+    error = std::string("bad JSON: ") + e.what();
+    return false;
+  }
+  if (!doc.is_object()) {
+    error = "request body must be a JSON object";
+    return false;
+  }
+  return true;
+}
+
 /// Read an optional non-negative number member; false + `error` on type
 /// mismatch, true (leaving `out` untouched) when the member is absent.
 bool read_u64(const obs::JsonValue& doc, const char* name, std::uint64_t& out,
@@ -69,6 +86,19 @@ bool read_u64(const obs::JsonValue& doc, const char* name, std::uint64_t& out,
     return false;
   }
   out = field->as_u64();
+  return true;
+}
+
+/// read_u64's boolean twin.
+bool read_bool(const obs::JsonValue& doc, const char* name, bool& out,
+               std::string& error) {
+  const obs::JsonValue* field = doc.find(name);
+  if (field == nullptr) return true;
+  if (!field->is_bool()) {
+    error = std::string(name) + " must be a boolean";
+    return false;
+  }
+  out = field->as_bool();
   return true;
 }
 
@@ -141,16 +171,8 @@ HttpResponse WhatIfService::handle_attack(const net::HttpRequest& request,
   const AsGraph& graph = scenario_.graph();
 
   obs::JsonValue doc;
-  try {
-    doc = obs::JsonValue::parse(request.body);
-  } catch (const ParseError& e) {
-    return error_response(400, std::string("bad JSON: ") + e.what());
-  }
-  if (!doc.is_object()) {
-    return error_response(400, "request body must be a JSON object");
-  }
-
   std::string error;
+  if (!parse_object(request.body, doc, error)) return error_response(400, error);
   const obs::JsonValue* victim_field = doc.find("victim");
   const obs::JsonValue* attacker_field = doc.find("attacker");
   if (victim_field == nullptr || attacker_field == nullptr) {
@@ -176,14 +198,12 @@ HttpResponse WhatIfService::handle_attack(const net::HttpRequest& request,
       filters.add(id);
     }
   }
-  if (const obs::JsonValue* top = doc.find("deployment_top")) {
-    if (!top->is_number()) {
-      return error_response(400, "deployment_top must be a number");
-    }
-    const auto k = static_cast<std::size_t>(top->as_u64());
-    for (const AsId id : top_k_deployment(graph, k).deployers) {
-      filters.add(id);
-    }
+  std::uint64_t top = 0;
+  if (!read_u64(doc, "deployment_top", top, error)) {
+    return error_response(400, error);
+  }
+  if (doc.find("deployment_top") != nullptr) {
+    for (const AsId id : top_k_deployment(graph, top).deployers) filters.add(id);
   }
   if (filters.count() > 0) {
     sim.set_validators(filters.bitset());
@@ -192,27 +212,14 @@ HttpResponse WhatIfService::handle_attack(const net::HttpRequest& request,
   }
 
   AttackOptions options;
-  options.kind = AttackKind::ExactPrefix;
-  if (const obs::JsonValue* forged = doc.find("forged_origin")) {
-    if (!forged->is_bool()) {
-      return error_response(400, "forged_origin must be a boolean");
-    }
-    options.forged_origin = forged->as_bool();
-  }
-  std::uint32_t probe_count = 0;
-  if (const obs::JsonValue* probes = doc.find("probes")) {
-    if (!probes->is_number()) {
-      return error_response(400, "probes must be a number");
-    }
-    probe_count = static_cast<std::uint32_t>(probes->as_u64());
-  }
+  std::uint64_t probes = 0;
   bool trace_requested = false;
-  if (const obs::JsonValue* trace = doc.find("trace")) {
-    if (!trace->is_bool()) {
-      return error_response(400, "trace must be a boolean");
-    }
-    trace_requested = trace->as_bool();
+  if (!read_bool(doc, "forged_origin", options.forged_origin, error) ||
+      !read_u64(doc, "probes", probes, error) ||
+      !read_bool(doc, "trace", trace_requested, error)) {
+    return error_response(400, error);
   }
+  const auto probe_count = static_cast<std::uint32_t>(probes);
 
   // Per-request provenance ring: worker sims are reused across requests, so
   // the recorder must be detached again before this frame unwinds.
@@ -246,15 +253,12 @@ HttpResponse WhatIfService::handle_attack(const net::HttpRequest& request,
   // Detection runs against the converged table before any trace replay
   // (attack_with_trace reconverges on the generation engine and would
   // overwrite it).
-  std::uint32_t probes_triggered = 0;
-  bool detected = false;
+  DetectionOutcome outcome;
   std::uint32_t first_generation = 0;
   if (probe_count > 0) {
     const ProbeSet probe_set = ProbeSet::top_k(graph, probe_count);
-    const DetectionOutcome outcome = evaluate_detection(sim.routes(), probe_set);
-    probes_triggered = outcome.probes_triggered;
-    detected = outcome.detected();
-    if (detected && !options.forged_origin) {
+    outcome = evaluate_detection(sim.routes(), probe_set);
+    if (outcome.detected() && !options.forged_origin) {
       PropagationTrace trace;
       sim.attack_with_trace(victim, attacker, trace);
       first_generation = first_detection_generation(trace, probe_set);
@@ -276,8 +280,8 @@ HttpResponse WhatIfService::handle_attack(const net::HttpRequest& request,
     json.key("detection");
     json.begin_object();
     json.field("probes", static_cast<std::uint64_t>(probe_count));
-    json.field("triggered", static_cast<std::uint64_t>(probes_triggered));
-    json.field("detected", detected);
+    json.field("triggered", static_cast<std::uint64_t>(outcome.probes_triggered));
+    json.field("detected", outcome.detected());
     json.field("first_generation", static_cast<std::uint64_t>(first_generation));
     json.end_object();
   }
@@ -336,17 +340,10 @@ HttpResponse WhatIfService::handle_topology() const {
 HttpResponse WhatIfService::handle_campaign_submit(
     const net::HttpRequest& request) {
   obs::JsonValue doc;
-  try {
-    doc = obs::JsonValue::parse(request.body);
-  } catch (const ParseError& e) {
-    return error_response(400, std::string("bad JSON: ") + e.what());
-  }
-  if (!doc.is_object()) {
-    return error_response(400, "request body must be a JSON object");
-  }
+  std::string error;
+  if (!parse_object(request.body, doc, error)) return error_response(400, error);
 
   campaign::CampaignSpec spec;
-  std::string error;
   std::uint64_t samples = spec.sample_budget;
   std::uint64_t batch = spec.batch;
   std::uint64_t seed = spec.seed;

@@ -75,6 +75,64 @@ TEST(Detector, TriggersOnPollutedProbesOnly) {
   EXPECT_EQ(evaluate_detection(sim.routes(), both).probes_triggered, 1u);
 }
 
+// Two first-detection quantities exist: the generation-engine replay
+// (first_detection_generation; /v1/attack reports it) and the converged
+// proxy min(path_len - 1) (DetectionOutcome::first_generation_proxy;
+// campaigns report it). They disagree on the two shapes below. Whoever
+// settles on one definition must change these expectations on purpose.
+//
+// T (1) is the provider of victim V (2) and probe P (3). Attacker A (4)
+// peers with P, and A -> X (5) -> C (6) -> P is a customer chain.
+AsGraph detection_split_graph() {
+  GraphBuilder b;
+  b.add_provider_customer(1, 2);
+  b.add_provider_customer(1, 3);
+  b.add_peer(4, 3);
+  b.add_provider_customer(5, 4);
+  b.add_provider_customer(6, 5);
+  b.add_provider_customer(3, 6);
+  return b.build();
+}
+
+struct FirstDetection {
+  std::uint32_t replay = 0;
+  std::uint32_t proxy = 0;
+  bool detected = false;
+};
+
+FirstDetection first_detection(const AsGraph& g, Asn probe) {
+  SimConfig cfg;
+  cfg.engine = EngineKind::Generation;
+  cfg.policy.is_tier1.assign(g.num_ases(), 0);
+  HijackSimulator sim(g, cfg);
+  PropagationTrace trace;
+  sim.attack_with_trace(g.require(2), g.require(4), trace);
+  const ProbeSet probes("probe", {g.require(probe)});
+  const DetectionOutcome outcome = evaluate_detection(sim.routes(), probes);
+  return {first_detection_generation(trace, probes),
+          outcome.first_generation_proxy, outcome.detected()};
+}
+
+TEST(FirstDetection, TransientShorterRouteReplaysEarlierThanTheProxy) {
+  // P first takes the peer route [P, A] (generation 1), then the longer
+  // customer route [P, C, X, A] it prefers, which it keeps (length 4).
+  const AsGraph g = detection_split_graph();
+  const FirstDetection at_p = first_detection(g, 3);
+  EXPECT_TRUE(at_p.detected);
+  EXPECT_EQ(at_p.replay, 1u);
+  EXPECT_EQ(at_p.proxy, 3u);
+}
+
+TEST(FirstDetection, ProbeAtTheAttackerReplaysTheFirstEcho) {
+  // The attacker's own route has length 1 (proxy 0); the replay sees the
+  // first message delivered back to it.
+  const AsGraph g = detection_split_graph();
+  const FirstDetection at_a = first_detection(g, 4);
+  EXPECT_TRUE(at_a.detected);
+  EXPECT_EQ(at_a.replay, 2u);
+  EXPECT_EQ(at_a.proxy, 0u);
+}
+
 class DetectorExperimentFixture : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -85,6 +85,35 @@ TEST(HijackSimulator, TraceMatchesResult) {
   // the attacker itself; AttackResult excludes the attacker.
 }
 
+TEST(HijackSimulator, EveryEntryPointRunsTheSameGenerationAttack) {
+  // attack, attack_ex and attack_with_trace are one implementation: on the
+  // generation engine they converge to the same table and count the same
+  // generations (legitimate plus attacker announcement).
+  const AsGraph g = diamond();
+  HijackSimulator sim(g, config_for(g, EngineKind::Generation));
+  const AsId victim = g.require(4);
+  const AsId attacker = g.require(3);
+  const AttackResult plain = sim.attack(victim, attacker);
+  const RouteTable plain_table = sim.routes();
+  const ExtendedAttackResult ex = sim.attack_ex(victim, attacker, {});
+  const RouteTable ex_table = sim.routes();
+  PropagationTrace trace;
+  const AttackResult traced = sim.attack_with_trace(victim, attacker, trace);
+  EXPECT_GT(plain.generations, 0u);
+  EXPECT_EQ(ex.generations, plain.generations);
+  EXPECT_EQ(traced.generations, plain.generations);
+  // The trace holds only the attacker announcement's frames.
+  EXPECT_LT(trace.frames.size(), traced.generations);
+  for (AsId v = 0; v < g.num_ases(); ++v) {
+    for (const RouteTable* other : {&ex_table, &sim.routes()}) {
+      EXPECT_EQ(other->routes[v].origin, plain_table.routes[v].origin) << v;
+      EXPECT_EQ(other->routes[v].cls, plain_table.routes[v].cls) << v;
+      EXPECT_EQ(other->routes[v].path_len, plain_table.routes[v].path_len) << v;
+      EXPECT_EQ(other->routes[v].via, plain_table.routes[v].via) << v;
+    }
+  }
+}
+
 TEST(HijackSimulator, RejectsBadArguments) {
   const AsGraph g = diamond();
   HijackSimulator sim(g, config_for(g, EngineKind::Equilibrium));

@@ -1,5 +1,5 @@
 // Convergence introspection: per-generation decision history of a watched AS
-// (set_decision_watch / attack_explained / render_decision_history).
+// (set_decision_watch / attack_ex's history facet / render_decision_history).
 #include "bgp/introspect.hpp"
 
 #include <string>
@@ -57,8 +57,9 @@ TEST(Introspect, AttackExplainedRecordsDecisionHistory) {
   HijackSimulator sim(g, generation_config(g));
   DecisionHistory history;
   const AsId watched = g.require(1);
+  history.watched = watched;
   const auto result =
-      sim.attack_explained(g.require(4), g.require(3), watched, history);
+      sim.attack_ex(g.require(4), g.require(3), {.history = &history});
   EXPECT_EQ(result.polluted_ases, 1u);  // AS 1 is the one fooled
   EXPECT_EQ(history.watched, watched);
 

@@ -10,6 +10,7 @@
 #include <cctype>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -298,6 +299,49 @@ TEST_F(ServeTest, ErrorStatuses) {
   // Body past the configured limit answers 413.
   const std::string huge(70 * 1024, 'x');
   EXPECT_EQ(http_request(port(), "POST", "/v1/attack", huge).status, 413);
+}
+
+TEST_F(ServeTest, AttackBadRequestBodies) {
+  const obs::JsonValue topo =
+      obs::JsonValue::parse(http_request(port(), "GET", "/v1/topology").body);
+  const std::string v =
+      std::to_string(topo.find("baseline_sample")->items()[0].as_u64());
+  std::string a =
+      std::to_string(topo.find("transit_sample")->items()[0].as_u64());
+  if (a == v) a = std::to_string(topo.find("transit_sample")->items()[1].as_u64());
+  const std::string pair = "\"victim\": " + v + ", \"attacker\": " + a;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"not json", "bad JSON: json: bad literal at offset 0"},
+      {"[1]", "request body must be a JSON object"},
+      {"{}", "victim and attacker are required"},
+      {"{\"victim\": " + v + "}", "victim and attacker are required"},
+      {"{\"attacker\": " + a + "}", "victim and attacker are required"},
+      {"{\"victim\": \"x\", \"attacker\": " + a + "}",
+       "victim must be a number (an ASN)"},
+      {"{\"victim\": " + v + ", \"attacker\": true}",
+       "attacker must be a number (an ASN)"},
+      {"{\"victim\": 99999999, \"attacker\": " + a + "}",
+       "unknown victim asn 99999999"},
+      {"{\"victim\": " + v + ", \"attacker\": 99999999}",
+       "unknown attacker asn 99999999"},
+      {"{\"victim\": " + v + ", \"attacker\": " + v + "}",
+       "victim and attacker must differ"},
+      {"{" + pair + ", \"deployment\": 5}", "deployment must be an array of ASNs"},
+      {"{" + pair + ", \"deployment\": [99999999]}",
+       "unknown deployment asn 99999999"},
+      {"{" + pair + ", \"deployment\": [\"x\"]}",
+       "deployment must be a number (an ASN)"},
+      {"{" + pair + ", \"deployment_top\": \"5\"}",
+       "deployment_top must be a number"},
+      {"{" + pair + ", \"probes\": [1]}", "probes must be a number"},
+      {"{" + pair + ", \"forged_origin\": 1}", "forged_origin must be a boolean"},
+      {"{" + pair + ", \"trace\": \"yes\"}", "trace must be a boolean"},
+  };
+  for (const auto& [body, message] : cases) {
+    const ClientResponse response = http_request(port(), "POST", "/v1/attack", body);
+    EXPECT_EQ(response.status, 400) << body;
+    EXPECT_EQ(response.body, "{\"error\":\"" + message + "\"}") << body;
+  }
 }
 
 TEST_F(ServeTest, StopIsIdempotentAndDrains) {

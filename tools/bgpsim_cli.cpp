@@ -232,17 +232,20 @@ int cmd_attack(const Args& args) {
   AttackOptions options;
   if (args.flag("subprefix")) options.kind = AttackKind::SubPrefix;
   options.forged_origin = args.flag("forged");
-
-  if (const auto explain_asn = args.number("explain")) {
+  DecisionHistory history;
+  const auto explain_asn = args.number("explain");
+  if (explain_asn) {
     if (options.forged_origin || options.kind == AttackKind::SubPrefix) {
       throw ConfigError("--explain supports the plain exact-prefix attack");
     }
-    const AsId watched = g.require(static_cast<Asn>(*explain_asn));
-    DecisionHistory history;
-    const auto result =
-        sim.attack_explained(g.require(static_cast<Asn>(*victim_asn)),
-                             g.require(static_cast<Asn>(*attacker_asn)),
-                             watched, history);
+    history.watched = g.require(static_cast<Asn>(*explain_asn));
+    options.history = &history;
+  }
+
+  const auto result =
+      sim.attack_ex(g.require(static_cast<Asn>(*victim_asn)),
+                    g.require(static_cast<Asn>(*attacker_asn)), options);
+  if (explain_asn) {
     std::printf("exact-prefix hijack of AS%llu by AS%llu "
                 "(generation engine, %u generations):\n",
                 static_cast<unsigned long long>(*victim_asn),
@@ -251,25 +254,17 @@ int cmd_attack(const Args& args) {
     std::printf("  polluted: %u of %u ASes (%.1f%%)\n\n", result.polluted_ases,
                 g.num_ases(), 100.0 * result.polluted_ases / g.num_ases());
     std::fputs(render_decision_history(g, history).c_str(), stdout);
-    if (recorder) {
-      print_pollution_trace(g, sim, g.require(static_cast<Asn>(*victim_asn)),
-                            g.require(static_cast<Asn>(*attacker_asn)));
-    }
-    return 0;
+  } else {
+    std::printf("%s%s hijack of AS%llu by AS%llu:\n",
+                options.forged_origin ? "forged-origin " : "",
+                options.kind == AttackKind::SubPrefix ? "sub-prefix" : "exact-prefix",
+                static_cast<unsigned long long>(*victim_asn),
+                static_cast<unsigned long long>(*attacker_asn));
+    std::printf("  polluted: %u of %u ASes (%.1f%%), %.1f%% of address space\n",
+                result.polluted_ases, g.num_ases(),
+                100.0 * result.polluted_ases / g.num_ases(),
+                100.0 * result.polluted_address_fraction);
   }
-
-  const auto result =
-      sim.attack_ex(g.require(static_cast<Asn>(*victim_asn)),
-                    g.require(static_cast<Asn>(*attacker_asn)), options);
-  std::printf("%s%s hijack of AS%llu by AS%llu:\n",
-              options.forged_origin ? "forged-origin " : "",
-              options.kind == AttackKind::SubPrefix ? "sub-prefix" : "exact-prefix",
-              static_cast<unsigned long long>(*victim_asn),
-              static_cast<unsigned long long>(*attacker_asn));
-  std::printf("  polluted: %u of %u ASes (%.1f%%), %.1f%% of address space\n",
-              result.polluted_ases, g.num_ases(),
-              100.0 * result.polluted_ases / g.num_ases(),
-              100.0 * result.polluted_address_fraction);
   if (recorder) {
     print_pollution_trace(g, sim, result.target, result.attacker);
   }

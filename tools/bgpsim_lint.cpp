@@ -127,6 +127,11 @@ constexpr RuleInfo kRules[] = {
      "QuantileReservoir, CampaignSampler, StratumEstimator) live only in "
      "src/campaign/; other code consumes campaigns through the driver API so "
      "there is exactly one implementation of the statistics to audit"},
+    {"attack-home",
+     "in src/, only the engines (src/bgp/), HijackSimulator (src/hijack/) "
+     "and the baseline store (src/store/) call an engine's announce, "
+     "compute_hijack or compute_single; every other surface attacks through "
+     "HijackSimulator::attack_ex so there is exactly one attack path"},
     {"self-contained", "every public header under src/ compiles standalone"},
     {"io", "linted file could not be read"},
 };
@@ -404,6 +409,7 @@ struct FileContext {
   bool is_profiler_home = false;  // src/obs/profiler*: signal APIs allowed
   bool is_provenance_home = false;  // src/bgp/ + src/obs/: record_edge allowed
   bool is_campaign_home = false;    // src/campaign/: estimator/sampler types
+  bool is_attack_home = false;  // src/{bgp,hijack,store}/: engine runs
 };
 
 FileContext classify(const fs::path& path, const fs::path& root) {
@@ -426,6 +432,9 @@ FileContext classify(const fs::path& path, const fs::path& root) {
   ctx.is_provenance_home =
       starts_with(ctx.rel, "src/bgp/") || ctx.is_obs_home;
   ctx.is_campaign_home = starts_with(ctx.rel, "src/campaign/");
+  ctx.is_attack_home = starts_with(ctx.rel, "src/bgp/") ||
+                       starts_with(ctx.rel, "src/hijack/") ||
+                       starts_with(ctx.rel, "src/store/");
   return ctx;
 }
 
@@ -598,6 +607,22 @@ void run_line_rules(const FileContext& ctx, const LexedFile& lexed,
                                   " outside src/campaign/; campaign "
                                   "statistics have exactly one home — "
                                   "consume them via the driver API"});
+        }
+      }
+    }
+
+    // One attack path: library code outside the engines, HijackSimulator
+    // and the baseline store attacks through HijackSimulator::attack_ex,
+    // never by driving an engine itself (has_identifier: the calls are
+    // member calls, engine.announce / equilibrium_.compute_hijack).
+    if (ctx.is_library && !ctx.is_attack_home) {
+      for (const char* banned : {"announce", "compute_hijack", "compute_single"}) {
+        if (has_identifier(line, banned)) {
+          findings.push_back({ctx.rel, lineno, "attack-home",
+                              std::string(banned) +
+                                  " outside src/bgp/, src/hijack/ and "
+                                  "src/store/; attack through "
+                                  "HijackSimulator::attack_ex"});
         }
       }
     }
