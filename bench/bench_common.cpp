@@ -5,11 +5,8 @@
 #include <filesystem>
 #include <system_error>
 
-#include "obs/heartbeat.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace.hpp"
 #include "topology/metrics.hpp"
 
 namespace bgpsim::bench {
@@ -19,7 +16,10 @@ namespace {
 /// The live BenchEnv, so print_paper_row can record rows into its report.
 BenchEnv* g_active_env = nullptr;
 
-Scenario make_scenario(std::uint32_t scale, std::uint64_t seed) {
+/// Arm every obs sink from the environment, then generate: topology
+/// generation's spans and events belong to the run's trace and event log.
+Scenario arm_obs_and_generate(std::uint32_t scale, std::uint64_t seed) {
+  obs::start(obs::Config::from_env());
   ScenarioParams params;
   params.topology.total_ases = scale;
   params.topology.seed = seed;
@@ -33,7 +33,7 @@ BenchEnv::BenchEnv(const char* slug_in, const char* title)
       seed(env_u64("BGPSIM_SEED", 2014)),
       outdir(env_string("BGPSIM_OUTDIR", ".")),
       slug(slug_in),
-      scenario(make_scenario(scale, seed)),
+      scenario(arm_obs_and_generate(scale, seed)),
       report(slug_in) {
   report.set_seed(seed);
   report.set_scale(scale);
@@ -56,20 +56,17 @@ BenchEnv::BenchEnv(const char* slug_in, const char* title)
   std::printf("================================================================\n");
 
   // Registry calls (not macros) so run reports carry the topology footprint
-  // even under -DBGPSIM_OBS=OFF; the heartbeat sampler no-ops there.
+  // even under -DBGPSIM_OBS=OFF.
   obs::registry().gauge("mem.topology_bytes_est")
       .set(static_cast<double>(g.memory_bytes()));
-  obs::heartbeat_start();
-  obs::profiler_start_from_env();  // BGPSIM_PROFILE=<path> arms SIGPROF sampling
 }
 
 BenchEnv::~BenchEnv() {
   if (g_active_env == this) g_active_env = nullptr;
-  // Final heartbeat + sampler join before the registry snapshot below, so
-  // the report sees the campaign-end progress and memory gauges; the
-  // explicit publish covers runs where no heartbeat sink was configured.
-  obs::heartbeat_stop();
-  obs::profiler_stop();  // flush the folded profile before the final snapshot
+  // Final heartbeat, folded profile and trace before the registry snapshot
+  // below, so the report sees the campaign-end progress and memory gauges;
+  // the explicit publish covers runs where no heartbeat sink was configured.
+  obs::stop();
   obs::publish_mem_gauges();
   report.set_total_wall_seconds(wall.elapsed_seconds());
 
@@ -113,7 +110,6 @@ BenchEnv::~BenchEnv() {
       std::fprintf(stderr, "  run report: failed to write %s\n", path.c_str());
     }
   }
-  obs::flush_trace();
 }
 
 BenchEnv make_env(const char* slug, const char* title) {

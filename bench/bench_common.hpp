@@ -7,31 +7,17 @@
 //   BGPSIM_OUTDIR     — where CSV/SVG/report artifacts land (default ".";
 //                       created when missing)
 //   BGPSIM_OBS_REPORT — write BENCH_<slug>.json run report (default on)
-//   BGPSIM_TRACE      — write a Perfetto/chrome://tracing trace to <path>
-//   BGPSIM_EVENTLOG   — write the structured NDJSON event log to <path>
 //   BGPSIM_REPEAT     — repetition index recorded in the run report, so
 //                       bgpsim-perfdiff can tell deliberate repeated runs
 //                       (perf samples) from accidental duplicates
-//   BGPSIM_PROGRESS_STDERR / BGPSIM_HEARTBEAT_SECS / BGPSIM_PROM_FILE /
-//   BGPSIM_PROM_PORT  — live telemetry: BenchEnv starts the heartbeat
-//                       sampler at construction and stops it (final
-//                       heartbeat, thread join) before the run report is
-//                       written. Benches declare their expected workload
-//                       with BGPSIM_PROGRESS(total_attacks) so heartbeats
-//                       carry a finite ETA.
-//   BGPSIM_PROFILE    — arm the in-process sampling CPU profiler
-//                       (obs/profiler.hpp) for the whole bench run; the
-//                       collapsed-stack (folded) profile lands at <path> in
-//                       the destructor, and profile.samples{,_dropped} roll
-//                       into the report extras
-//   BGPSIM_PROFILE_HZ / BGPSIM_PROFILE_RING — sample rate (default 151 Hz)
-//                       and preallocated sample-buffer capacity (32768)
-//   BGPSIM_PROVENANCE — trace pollution provenance on every attack
-//                       (obs/provenance.hpp): "1" arms the recorder, any
-//                       other non-empty value also streams infection_edge
-//                       records to that NDJSON path; the engine.infection_depth
-//                       histogram then rolls into the report extras
-//   BGPSIM_PROVENANCE_RING — edge-ring capacity per attack (default 262144)
+// The observability knobs (trace, event log, heartbeat/Prometheus, profiler,
+// provenance) are the DESIGN.md §7 knob table: BenchEnv arms them with
+// obs::start(obs::Config::from_env()) before it generates the topology and
+// tears them down with obs::stop() before it writes the run report, so the
+// report sees the final heartbeat and profile counters. Benches declare
+// their expected workload with BGPSIM_PROGRESS(total_attacks) so heartbeats
+// carry a finite ETA; profile.samples{,_dropped} and the
+// engine.infection_depth histogram roll into the report extras.
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,7 @@
 #include "bgp/equilibrium_engine.hpp"
 #include "bgp/generation_engine.hpp"
 #include "core/scenario.hpp"
-#include "obs/profiler.hpp"
+#include "obs/config.hpp"
 #include "support/rng.hpp"
 #include "topology/metrics.hpp"
 
@@ -101,17 +101,16 @@ BENCHMARK(BM_ReachMetric)->Unit(benchmark::kMicrosecond);
 }  // namespace
 }  // namespace bgpsim
 
-// Hand-rolled BENCHMARK_MAIN so the sampling profiler brackets the benchmark
-// run: BGPSIM_PROFILE=<path> [BGPSIM_PROFILE_HZ=<hz>] arms SIGPROF sampling
+// Hand-rolled BENCHMARK_MAIN so the obs sinks bracket the benchmark run:
+// BGPSIM_PROFILE=<path> [BGPSIM_PROFILE_HZ=<hz>] arms SIGPROF sampling
 // before RunSpecifiedBenchmarks and flushes the folded profile after. This
-// bench uses raw google-benchmark (no BenchEnv), so it wires the env hook
-// itself.
+// bench uses raw google-benchmark (no BenchEnv), so it arms obs itself.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  bgpsim::obs::profiler_start_from_env();
+  bgpsim::obs::start(bgpsim::obs::Config::from_env());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  bgpsim::obs::profiler_stop();
+  bgpsim::obs::stop();
   return 0;
 }

@@ -9,14 +9,14 @@ namespace bgpsim {
 HijackSimulator::HijackSimulator(const AsGraph& graph, SimConfig config)
     : graph_(graph), config_(std::move(config)),
       equilibrium_(graph_, config_.policy) {
-  if (obs::provenance_armed_from_env()) {
-    env_prov_ = std::make_unique<obs::ProvenanceRecorder>();
+  if (obs::active_config().provenance) {
+    config_prov_ = std::make_unique<obs::ProvenanceRecorder>();
   }
 }
 
 obs::ProvenanceRecorder* HijackSimulator::arm_trace() {
   obs::ProvenanceRecorder* prov =
-      external_prov_ != nullptr ? external_prov_ : env_prov_.get();
+      external_prov_ != nullptr ? external_prov_ : config_prov_.get();
   if (prov != nullptr) prov->begin_attack();
   last_prov_ = prov;
   equilibrium_.set_provenance(prov);

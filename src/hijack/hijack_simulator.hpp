@@ -114,8 +114,8 @@ class HijackSimulator {
   const std::optional<ValidatorSet>& validators() const { return validators_; }
 
   /// Record pollution provenance (infection edges; obs/provenance.hpp) for
-  /// every subsequent attack into `recorder`; nullptr reverts to the
-  /// environment arming (BGPSIM_PROVENANCE), or to no tracing. The recorder
+  /// every subsequent attack into `recorder`; nullptr reverts to the obs
+  /// config's arming (obs::Config::provenance), or to no tracing. The recorder
   /// is reset (begin_attack) per attack, so after an attack it holds that
   /// attack's edges only. Tracing never changes results: traced and
   /// untraced attacks produce bit-identical route tables.
@@ -174,7 +174,7 @@ class HijackSimulator {
   AttackResult summarize(AsId target, AsId attacker, std::uint32_t generations) const;
 
   /// Resolve the effective provenance recorder for one attack (external >
-  /// env-armed > none), reset it, arm the engines, and remember it for
+  /// config-armed > none), reset it, arm the engines, and remember it for
   /// summarize(). attack_ex calls this exactly once, before any engine runs.
   obs::ProvenanceRecorder* arm_trace();
 
@@ -194,11 +194,11 @@ class HijackSimulator {
   bool last_attack_warm_ = false;
   RouteTable table_;
 
-  // Pollution provenance (see set_provenance). env_prov_ is created once in
-  // the constructor when BGPSIM_PROVENANCE arms tracing process-wide;
+  // Pollution provenance (see set_provenance). config_prov_ is created once
+  // in the constructor when the active obs::Config arms tracing process-wide;
   // external_prov_ (CLI flag, serve per-request recorder) overrides it.
   obs::ProvenanceRecorder* external_prov_ = nullptr;
-  std::unique_ptr<obs::ProvenanceRecorder> env_prov_;
+  std::unique_ptr<obs::ProvenanceRecorder> config_prov_;
   obs::ProvenanceRecorder* last_prov_ = nullptr;
 };
 

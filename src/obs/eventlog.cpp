@@ -4,9 +4,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
-#include <filesystem>
 
-#include "support/env.hpp"
+#include "obs/config.hpp"
 
 namespace bgpsim::obs {
 
@@ -47,14 +46,6 @@ void install_crash_safety_handlers() {
 
 EventLogSink& EventLogSink::instance() {
   static EventLogSink sink;
-  // Apply the environment once, after construction, so standalone sinks
-  // (the serve access log) never inherit BGPSIM_EVENTLOG.
-  static const bool env_applied = [] {
-    const std::string path = env_string("BGPSIM_EVENTLOG", "");
-    if (!path.empty()) sink.set_output(path);
-    return true;
-  }();
-  (void)env_applied;
   return sink;
 }
 
@@ -68,29 +59,15 @@ void EventLogSink::set_output(const std::string& path) {
     out_.flush();
     out_.close();
   }
-  path_.clear();
   if (path.empty()) {
     enabled_.store(false, std::memory_order_relaxed);
     return;
   }
-  // Best-effort parent creation, like the report writer: observability must
-  // never take down an experiment, so failure just leaves the log disabled.
-  std::error_code ec;
-  const std::filesystem::path target(path);
-  if (target.has_parent_path()) {
-    std::filesystem::create_directories(target.parent_path(), ec);
-  }
-  out_.open(target, std::ios::binary | std::ios::trunc);
+  // Observability must never take down an experiment: a failed open just
+  // leaves the log disabled.
+  out_ = open_sink_file(path);
   enabled_.store(out_.is_open(), std::memory_order_relaxed);
-  if (out_.is_open()) {
-    path_ = path;
-    install_crash_safety_handlers();
-  }
-}
-
-std::string EventLogSink::path() const {
-  MutexLock lock(&mutex_);
-  return path_;
+  if (out_.is_open()) install_crash_safety_handlers();
 }
 
 double EventLogSink::now_seconds() const {

@@ -1,6 +1,6 @@
 // Structured NDJSON event log: one JSON object per line, one line per
-// simulation event, appended to the file named by BGPSIM_EVENTLOG (or the
-// CLI's --eventlog). Where the metrics registry aggregates and the trace
+// simulation event, appended to the file the eventlog knob names (DESIGN.md
+// §7 knob table). Where the metrics registry aggregates and the trace
 // sink times, the event log *narrates*: run_start / generation_end /
 // attack_injected / first_detection / run_end records carry enough context
 // to reconstruct what a run did without re-running it.
@@ -30,25 +30,21 @@ namespace bgpsim::obs {
 
 class EventLogSink {
  public:
-  /// A standalone, disabled sink (no environment lookup). Secondary NDJSON
-  /// streams — the serve access log, say — construct their own sink so they
-  /// get the same locked-seq/flush-per-line discipline without interleaving
-  /// with the simulation event log.
+  /// A standalone, disabled sink. Secondary NDJSON streams — the serve
+  /// access log, say — construct their own sink so they get the same
+  /// locked-seq/flush-per-line discipline without interleaving with the
+  /// simulation event log.
   EventLogSink();
 
-  /// Process-wide sink; reads BGPSIM_EVENTLOG once at first use.
+  /// Process-wide sink; disabled until set_output() names a path.
   static EventLogSink& instance();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// (Re)direct output (CLI flags, tests). An empty path disables logging
+  /// (Re)direct output (obs::start, tests). An empty path disables logging
   /// and flushes what was written. The file is truncated on open — an event
   /// log documents one run, not a history of runs.
   void set_output(const std::string& path) BGPSIM_EXCLUDES(mutex_);
-
-  /// Path of the currently open output ("" when disabled) — what /statusz
-  /// reports so operators can find the artifact without reading env vars.
-  std::string path() const BGPSIM_EXCLUDES(mutex_);
 
   /// Seconds since the sink epoch (steady clock).
   double now_seconds() const;
@@ -72,9 +68,8 @@ class EventLogSink {
   // BGPSIM_EVENT site when no log is configured); mutex_ serializes the
   // stream and the seq counter so records land whole and in seq order.
   std::atomic<bool> enabled_{false};
-  mutable Mutex mutex_;
+  Mutex mutex_;
   std::ofstream out_ BGPSIM_GUARDED_BY(mutex_);
-  std::string path_ BGPSIM_GUARDED_BY(mutex_);
   std::uint64_t next_seq_ BGPSIM_GUARDED_BY(mutex_) = 0;
   std::int64_t epoch_ns_ = 0;  // set once in the constructor, then read-only
 };

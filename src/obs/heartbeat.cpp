@@ -4,7 +4,6 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -21,7 +20,6 @@
 #include "obs/profiler.hpp"
 #include "obs/progress.hpp"
 #include "obs/promtext.hpp"
-#include "support/env.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace bgpsim::obs {
@@ -84,22 +82,12 @@ class HeartbeatSampler {
     return sampler;
   }
 
-  void force_stderr(bool on) { stderr_forced_.store(on, std::memory_order_relaxed); }
-
-  void start() BGPSIM_EXCLUDES(mutex_, emit_mutex_) {
+  void start(const Config& config) BGPSIM_EXCLUDES(mutex_, emit_mutex_) {
     MutexLock lock(&mutex_);
     if (running_) return;
 
-    const double interval = env_f64("BGPSIM_HEARTBEAT_SECS", 1.0);
-    const bool stderr_status =
-        stderr_forced_.load(std::memory_order_relaxed) ||
-        env_bool("BGPSIM_PROGRESS_STDERR", false);
-    const std::string prom_file = env_string("BGPSIM_PROM_FILE", "");
-    const auto prom_port =
-        static_cast<std::uint16_t>(env_u64("BGPSIM_PROM_PORT", 0));
-
-    const bool any_sink = eventlog_enabled() || stderr_status ||
-                          !prom_file.empty() || prom_port != 0;
+    const bool any_sink = eventlog_enabled() || config.progress_stderr ||
+                          !config.prom_file.empty() || config.prom_port != 0;
     if (!any_sink) return;
 
     // Touch the sink singletons before registering our atexit hook: atexit
@@ -110,14 +98,12 @@ class HeartbeatSampler {
     (void)ProgressTracker::instance();
 
     {
-      MutexLock config(&emit_mutex_);
-      interval_seconds_ = interval < 0.05 ? 0.05 : interval;
-      stderr_status_ = stderr_status;
-      prom_file_ = prom_file;
+      MutexLock emit_lock(&emit_mutex_);
+      config_ = config;
     }
 
-    if (prom_port != 0) {
-      server_.start(prom_port, [] { return scrape_prom_text(); });
+    if (config.prom_port != 0) {
+      server_.start(config.prom_port, [] { return scrape_prom_text(); });
     }
     stop_requested_ = false;
     running_ = true;
@@ -147,8 +133,9 @@ class HeartbeatSampler {
     emit();  // final heartbeat: campaign-end state reaches every sink
     bool newline = false;
     {
-      MutexLock config(&emit_mutex_);
-      newline = stderr_status_;
+      MutexLock emit_lock(&emit_mutex_);
+      newline = config_.progress_stderr;
+      config_ = Config{};  // later emit_heartbeat_now() calls reach no sink
     }
     if (newline && isatty(2) != 0) {
       std::fprintf(stderr, "\n");  // leave the live status line in place
@@ -184,10 +171,10 @@ class HeartbeatSampler {
       ev.emit();
     }
 
-    if (!prom_file_.empty()) {
-      write_prom_file(prom_file_, to_prom_text(reg.snapshot()));
+    if (!config_.prom_file.empty()) {
+      write_prom_file(config_.prom_file, to_prom_text(reg.snapshot()));
     }
-    if (stderr_status_) print_status(stats, mem);
+    if (config_.progress_stderr) print_status(stats, mem);
   }
 
  private:
@@ -196,8 +183,8 @@ class HeartbeatSampler {
   void loop() BGPSIM_EXCLUDES(mutex_, emit_mutex_) {
     double interval = 1.0;
     {
-      MutexLock config(&emit_mutex_);
-      interval = interval_seconds_;
+      MutexLock emit_lock(&emit_mutex_);
+      interval = config_.heartbeat_secs < 0.05 ? 0.05 : config_.heartbeat_secs;
     }
     for (;;) {
       bool stopping = false;
@@ -246,21 +233,17 @@ class HeartbeatSampler {
   std::thread thread_ BGPSIM_GUARDED_BY(mutex_);
 
   Mutex emit_mutex_;
-  double interval_seconds_ BGPSIM_GUARDED_BY(emit_mutex_) = 1.0;
-  bool stderr_status_ BGPSIM_GUARDED_BY(emit_mutex_) = false;
-  std::string prom_file_ BGPSIM_GUARDED_BY(emit_mutex_);
-  std::atomic<bool> stderr_forced_{false};
+  Config config_ BGPSIM_GUARDED_BY(emit_mutex_);  // the sinks of this run
   net::MetricsHttpServer server_;  // lifecycle-safe on its own lock
 };
 
 }  // namespace
 
-void heartbeat_start() { HeartbeatSampler::instance().start(); }
+void heartbeat_start(const Config& config) {
+  HeartbeatSampler::instance().start(config);
+}
 void heartbeat_stop() { HeartbeatSampler::instance().stop(); }
 void emit_heartbeat_now() { HeartbeatSampler::instance().emit(); }
-void heartbeat_force_stderr(bool on) {
-  HeartbeatSampler::instance().force_stderr(on);
-}
 
 }  // namespace bgpsim::obs
 

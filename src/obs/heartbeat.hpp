@@ -5,18 +5,19 @@
 //   - a `heartbeat` NDJSON event in the event log
 //     (done/total/rate/eta_seconds/phase/rss_bytes/rss_peak_bytes),
 //   - `mem.*` and `progress.*` gauges in the metrics registry,
-//   - a Prometheus exposition file (BGPSIM_PROM_FILE, atomic rename per
+//   - a Prometheus exposition file (Config::prom_file, atomic rename per
 //     interval — node_exporter textfile-collector compatible),
-//   - an HTTP GET /metrics endpoint (BGPSIM_PROM_PORT, loopback),
-//   - an optional one-line stderr status (BGPSIM_PROGRESS_STDERR=1 or the
-//     CLI/bench `--progress` flag).
+//   - an HTTP GET /metrics endpoint (Config::prom_port, loopback),
+//   - an optional one-line stderr status (Config::progress_stderr).
 //
-// heartbeat_start() is idempotent and does nothing unless at least one of
-// those sinks is configured; the interval comes from BGPSIM_HEARTBEAT_SECS
-// (default 1.0). Under -DBGPSIM_OBS=OFF everything here is an inline no-op
-// and no thread code is emitted at all (kHeartbeatCompiled lets tests prove
-// it at compile time).
+// obs::start() calls heartbeat_start(), which is idempotent and does
+// nothing unless at least one of those sinks is configured; the interval is
+// Config::heartbeat_secs. Under -DBGPSIM_OBS=OFF everything here is an
+// inline no-op and no thread code is emitted at all (kHeartbeatCompiled
+// lets tests prove it at compile time).
 #pragma once
+
+#include "obs/config.hpp"
 
 namespace bgpsim::obs {
 
@@ -24,18 +25,17 @@ namespace bgpsim::obs {
 
 inline constexpr bool kHeartbeatCompiled = false;
 
-inline void heartbeat_start() {}
+inline void heartbeat_start(const Config& /*config*/) {}
 inline void heartbeat_stop() {}
 inline void emit_heartbeat_now() {}
-inline void heartbeat_force_stderr(bool /*on*/) {}
 
 #else
 
 inline constexpr bool kHeartbeatCompiled = true;
 
-/// Spawn the sampler thread if any sink is configured and it is not already
-/// running. Safe to call many times (benches, CLI, tests).
-void heartbeat_start();
+/// Spawn the sampler thread if any of `config`'s heartbeat sinks (or the
+/// open event log) is configured and it is not already running.
+void heartbeat_start(const Config& config);
 
 /// Emit one final heartbeat, stop the sampler, and join the thread.
 /// Idempotent; also registered via atexit by heartbeat_start().
@@ -44,10 +44,6 @@ void heartbeat_stop();
 /// Synchronously emit one heartbeat (events + gauges + prom file), whether
 /// or not the sampler thread runs. Deterministic hook for tests.
 void emit_heartbeat_now();
-
-/// Turn the stderr status line on programmatically (CLI --progress) before
-/// calling heartbeat_start(). Equivalent to BGPSIM_PROGRESS_STDERR=1.
-void heartbeat_force_stderr(bool on);
 
 #endif  // BGPSIM_OBS_DISABLED
 

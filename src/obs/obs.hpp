@@ -21,6 +21,7 @@
 // snapshot or emit reports; they will simply be empty).
 #pragma once
 
+#include "obs/config.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"

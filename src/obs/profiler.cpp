@@ -8,18 +8,20 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <cxxabi.h>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 
+#include "obs/config.hpp"
 #include "obs/metrics.hpp"
-#include "support/env.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace bgpsim::obs {
@@ -127,16 +129,9 @@ std::uint64_t write_folded(const ProfileRing& ring, const std::string& path) {
     if (!stack.empty()) ++folded[stack];
   }
 
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return 0;
-  char buf[32];
-  for (const auto& [key, count] : folded) {
-    std::fputs(key.c_str(), out);
-    std::snprintf(buf, sizeof(buf), " %llu\n",
-                  static_cast<unsigned long long>(count));
-    std::fputs(buf, out);
-  }
-  std::fclose(out);
+  std::ofstream out = open_sink_file(path);
+  if (!out) return 0;
+  for (const auto& [key, count] : folded) out << key << ' ' << count << '\n';
   return aggregated;
 }
 
@@ -152,14 +147,12 @@ class Profiler {
     return profiler;
   }
 
-  bool start(const std::string& path, unsigned hz) BGPSIM_EXCLUDES(mutex_) {
+  bool start(const std::string& path, unsigned hz, std::size_t ring)
+      BGPSIM_EXCLUDES(mutex_) {
     MutexLock lock(&mutex_);
     if (active_ || path.empty()) return false;
     const unsigned clamped_hz = hz < 1 ? 1 : (hz > 1000 ? 1000 : hz);
-    std::size_t capacity =
-        static_cast<std::size_t>(env_u64("BGPSIM_PROFILE_RING", 32768));
-    if (capacity < 16) capacity = 16;
-    if (capacity > (1u << 22)) capacity = 1u << 22;
+    const std::size_t capacity = std::clamp<std::size_t>(ring, 16, 1u << 22);
     ring_ = std::make_unique<ProfileRing>(capacity);
 
     // Warm up the unwinder before the handler can run: glibc's first
@@ -229,7 +222,6 @@ class Profiler {
     ProfilerStatus out;
     out.active = active_;
     out.hz = hz_;
-    out.path = path_;
     if (active_ && ring_ != nullptr) {
       out.samples = ring_->committed();
       out.dropped = ring_->dropped();
@@ -255,16 +247,8 @@ class Profiler {
 
 }  // namespace
 
-bool profiler_start(const std::string& path, unsigned hz) {
-  return Profiler::instance().start(path, hz);
-}
-
-void profiler_start_from_env() {
-  const std::string path = env_string("BGPSIM_PROFILE", "");
-  if (path.empty()) return;
-  const auto hz =
-      static_cast<unsigned>(env_u64("BGPSIM_PROFILE_HZ", kDefaultProfileHz));
-  (void)profiler_start(path, hz);
+bool profiler_start(const std::string& path, unsigned hz, std::size_t ring) {
+  return Profiler::instance().start(path, hz, ring);
 }
 
 std::uint64_t profiler_stop() { return Profiler::instance().stop(); }

@@ -17,12 +17,9 @@
 // blocked on. Everything expensive — symbol resolution, aggregation, file
 // IO — happens after the timer is disarmed.
 //
-// Lifecycle: profiler_start(path, hz) / profiler_stop(), or
-// profiler_start_from_env() honoring
-//   BGPSIM_PROFILE      — folded output path (profiling off when unset)
-//   BGPSIM_PROFILE_HZ   — sample rate (default 151 Hz; primes dodge lockstep
-//                         with periodic work)
-//   BGPSIM_PROFILE_RING — sample-buffer capacity (default 32768 samples)
+// Lifecycle: profiler_start(path, hz, ring) / profiler_stop(); obs::start()
+// arms it from Config::profile / profile_hz / profile_ring (BGPSIM_PROFILE,
+// BGPSIM_PROFILE_HZ, BGPSIM_PROFILE_RING; DESIGN.md §7).
 //
 // Under -DBGPSIM_OBS=OFF the whole API degrades to inline no-ops and no
 // signal/timer code is emitted (kProfilerCompiled is the witness; CI proves
@@ -45,9 +42,6 @@ struct ProfilerStatus {
   unsigned hz = 0;
   std::uint64_t samples = 0;
   std::uint64_t dropped = 0;
-  /// Folded-output path of the running (or last finished) session; "" when
-  /// never armed. /statusz reports it in the sinks block.
-  std::string path;
 };
 
 /// Default sample rate: 151 Hz — prime (avoids sampling in lockstep with
@@ -55,14 +49,17 @@ struct ProfilerStatus {
 /// per-sample overhead stays well under 1%.
 inline constexpr unsigned kDefaultProfileHz = 151;
 
+/// Default sample-buffer capacity: about 3.6 minutes at the default rate.
+inline constexpr std::size_t kDefaultProfileRing = 32768;
+
 #if defined(BGPSIM_OBS_DISABLED)
 
 inline constexpr bool kProfilerCompiled = false;
 
-inline bool profiler_start(const std::string& /*path*/, unsigned /*hz*/ = 0) {
+inline bool profiler_start(const std::string& /*path*/, unsigned /*hz*/ = 0,
+                           std::size_t /*ring*/ = 0) {
   return false;
 }
-inline void profiler_start_from_env() {}
 inline std::uint64_t profiler_stop() { return 0; }
 inline ProfilerStatus profiler_status() { return {}; }
 
@@ -137,15 +134,13 @@ class ProfileRing {
   std::atomic<std::uint64_t> dropped_{0};
 };
 
-/// Arm ITIMER_PROF at `hz` (clamped to [1, 1000]) and install the SIGPROF
-/// handler; the folded profile lands at `path` on profiler_stop(). Returns
-/// false (and changes nothing) when a session is already active or `path`
-/// is empty. Not async-signal-safe itself — call from normal context.
-bool profiler_start(const std::string& path, unsigned hz = kDefaultProfileHz);
-
-/// profiler_start(BGPSIM_PROFILE, BGPSIM_PROFILE_HZ) when BGPSIM_PROFILE is
-/// set; no-op otherwise. BenchEnv and perf_engine call this at startup.
-void profiler_start_from_env();
+/// Arm ITIMER_PROF at `hz` (clamped to [1, 1000]) with a `ring`-sample
+/// buffer (clamped to [16, 4194304]) and install the SIGPROF handler; the
+/// folded profile lands at `path` on profiler_stop(). Returns false (and
+/// changes nothing) when a session is already active or `path` is empty.
+/// Not async-signal-safe itself — call from normal context.
+bool profiler_start(const std::string& path, unsigned hz = kDefaultProfileHz,
+                    std::size_t ring = kDefaultProfileRing);
 
 /// Disarm the timer, restore the previous SIGPROF disposition, symbolize,
 /// write the folded profile, and publish the profile.samples{,_dropped}

@@ -4,10 +4,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
+
+#include "obs/config.hpp"
 
 namespace bgpsim::obs {
 namespace {
@@ -235,12 +238,10 @@ RegistrySnapshot parse_prom_text(std::string_view text) {
 
 bool write_prom_file(const std::string& path, const std::string& text) {
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
+  std::ofstream out = open_sink_file(tmp);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.close();
+  if (!out) {
     std::remove(tmp.c_str());
     return false;
   }

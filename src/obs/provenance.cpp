@@ -2,73 +2,23 @@
 
 #if !defined(BGPSIM_OBS_DISABLED)
 
-#include <algorithm>
-#include <cctype>
-
+#include "obs/config.hpp"
 #include "obs/eventlog.hpp"
-#include "support/env.hpp"
 
 namespace bgpsim::obs {
 
-namespace {
-
-/// BGPSIM_PROVENANCE parsed once: {armed, sink path}. Boolean-ish values
-/// ("1", "true", "on", "yes") arm without a sink; "0"/"false"/"off"/"no"/""
-/// disarm; anything else is a file path — armed with an NDJSON edge stream.
-struct ProvenanceEnv {
-  bool armed = false;
-  std::string path;
-};
-
-const ProvenanceEnv& provenance_env() {
-  static const ProvenanceEnv parsed = [] {
-    ProvenanceEnv env;
-    const std::string raw = env_string("BGPSIM_PROVENANCE", "");
-    if (raw.empty()) return env;
-    std::string lower = raw;
-    std::transform(lower.begin(), lower.end(), lower.begin(), [](unsigned char c) {
-      return static_cast<char>(std::tolower(c));
-    });
-    if (lower == "0" || lower == "false" || lower == "off" || lower == "no") {
-      return env;
-    }
-    env.armed = true;
-    if (lower != "1" && lower != "true" && lower != "on" && lower != "yes") {
-      env.path = raw;
-    }
-    return env;
-  }();
-  return parsed;
-}
-
-}  // namespace
-
 ProvenanceRecorder::ProvenanceRecorder(std::size_t capacity)
-    : capacity_(capacity != 0 ? capacity : provenance_ring_from_env()),
+    : capacity_(capacity != 0 ? capacity : active_config().provenance_ring),
       edges_(capacity_) {}
 
-bool provenance_armed_from_env() { return provenance_env().armed; }
-
-const std::string& provenance_sink_path() { return provenance_env().path; }
-
-EventLogSink* provenance_sink() {
-  const std::string& path = provenance_sink_path();
-  if (path.empty()) return nullptr;
-  // Standalone sink (never BGPSIM_EVENTLOG): edge streams are per-attack
-  // firehoses and must not interleave with the simulation narrative.
+EventLogSink& provenance_stream() {
   static EventLogSink sink;
-  static const bool opened = [&] {
-    sink.set_output(path);
-    return true;
-  }();
-  (void)opened;
-  return &sink;
+  return sink;
 }
 
-std::size_t provenance_ring_from_env() {
-  const std::uint64_t ring =
-      env_u64("BGPSIM_PROVENANCE_RING", kDefaultProvenanceRing);
-  return ring != 0 ? static_cast<std::size_t>(ring) : 1;
+EventLogSink* provenance_sink() {
+  EventLogSink& sink = provenance_stream();
+  return sink.enabled() ? &sink : nullptr;
 }
 
 }  // namespace bgpsim::obs

@@ -27,11 +27,9 @@
 // (provenance.edges_dropped says by how much); the simulation itself is
 // untouched, and traced runs stay bit-identical to untraced ones.
 //
-// Arming:
-//   BGPSIM_PROVENANCE       "1"/"true"/... arms tracing; any other non-empty
-//                           value is a path — arms tracing AND streams
-//                           infection_edge NDJSON records there
-//   BGPSIM_PROVENANCE_RING  edge-buffer capacity (default 262144 edges)
+// Arming: Config::provenance / provenance_ring (BGPSIM_PROVENANCE,
+// BGPSIM_PROVENANCE_RING; DESIGN.md §7). Armed, every HijackSimulator
+// records; a path also streams infection_edge NDJSON records there.
 //
 // Under -DBGPSIM_OBS=OFF the recorder degrades to an inline no-op stub and
 // provenance.cpp compiles to nothing (kProvenanceCompiled is the witness; CI
@@ -90,14 +88,6 @@ class ProvenanceRecorder {
   const InfectionEdge* edges() const { return nullptr; }
 };
 
-inline bool provenance_armed_from_env() { return false; }
-inline const std::string& provenance_sink_path() {
-  static const std::string empty;
-  return empty;
-}
-inline EventLogSink* provenance_sink() { return nullptr; }
-inline std::size_t provenance_ring_from_env() { return 0; }
-
 #else
 
 inline constexpr bool kProvenanceCompiled = true;
@@ -115,7 +105,8 @@ inline constexpr bool kProvenanceCompiled = true;
 /// after the engine returned) synchronize through acquire loads.
 class ProvenanceRecorder {
  public:
-  /// `capacity` == 0 reads BGPSIM_PROVENANCE_RING (default 262144).
+  /// `capacity` == 0 takes the active Config::provenance_ring (default
+  /// 262144).
   explicit ProvenanceRecorder(std::size_t capacity = 0);
 
   /// Reset for a fresh attack: every trace stands alone.
@@ -157,21 +148,13 @@ class ProvenanceRecorder {
   std::atomic<std::uint64_t> dropped_{0};
 };
 
-/// True when BGPSIM_PROVENANCE asks for tracing (any non-empty value other
-/// than "0"/"false"/"off"/"no").
-bool provenance_armed_from_env();
+/// The standalone infection_edge stream, opened by obs::start() at the path
+/// form of Config::provenance: edge streams are per-attack firehoses and
+/// must not interleave with the simulation event log.
+EventLogSink& provenance_stream();
 
-/// The NDJSON path form of BGPSIM_PROVENANCE ("" when unset or boolean) —
-/// what /statusz reports as the provenance sink.
-const std::string& provenance_sink_path();
-
-/// Lazily-opened standalone sink at provenance_sink_path(); nullptr when no
-/// path is configured. infection_edge records stream here instead of
-/// interleaving with the simulation event log.
+/// provenance_stream() while it is open; nullptr otherwise.
 EventLogSink* provenance_sink();
-
-/// BGPSIM_PROVENANCE_RING, defaulted and floored to 1.
-std::size_t provenance_ring_from_env();
 
 #endif  // BGPSIM_OBS_DISABLED
 

@@ -1,8 +1,8 @@
 #include "obs/report.hpp"
 
-#include <filesystem>
 #include <fstream>
 
+#include "obs/config.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
@@ -74,14 +74,7 @@ std::string RunReport::to_json() const {
 }
 
 bool RunReport::write(const std::string& path) const {
-  std::error_code ec;
-  const std::filesystem::path target(path);
-  if (target.has_parent_path()) {
-    std::filesystem::create_directories(target.parent_path(), ec);
-    // A pre-existing directory reports an error code on some platforms; the
-    // ofstream open below is the real success test either way.
-  }
-  std::ofstream out(target, std::ios::binary | std::ios::trunc);
+  std::ofstream out = open_sink_file(path);
   if (!out) return false;
   out << to_json() << '\n';
   return out.good();

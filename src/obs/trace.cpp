@@ -3,8 +3,9 @@
 #include <chrono>
 #include <fstream>
 
+#include "obs/config.hpp"
 #include "obs/json.hpp"
-#include "support/env.hpp"
+#include "obs/metrics.hpp"
 
 namespace bgpsim::obs {
 
@@ -23,15 +24,14 @@ TraceSink& TraceSink::instance() {
   return sink;
 }
 
-TraceSink::TraceSink() : epoch_ns_(steady_ns()) {
-  set_output(env_string("BGPSIM_TRACE", ""));
-}
+TraceSink::TraceSink() : epoch_ns_(steady_ns()) {}
 
 TraceSink::~TraceSink() { flush(); }
 
 void TraceSink::set_output(std::string path) {
   MutexLock lock(&mutex_);
   path_ = std::move(path);
+  events_.clear();
   enabled_.store(!path_.empty(), std::memory_order_relaxed);
 }
 
@@ -53,19 +53,31 @@ std::uint32_t TraceSink::thread_id() {
 
 void TraceSink::record(const Event& event) {
   MutexLock lock(&mutex_);
-  events_.push_back(event);
+  if (events_.size() < kMaxEvents) {
+    events_.push_back(event);
+    return;
+  }
+  // Registered on the first drop only, so reports and /metrics of a run
+  // that stays under the cap carry no trace.* counter at all.
+  static Counter& dropped = registry().counter("trace.events_dropped");
+  dropped.add(1);
 }
 
 void TraceSink::counter(const char* name, double value) {
   if (!enabled()) return;
-  const double ts = now_us();
-  MutexLock lock(&mutex_);
-  counters_.push_back(CounterEvent{name, ts, value});
+  Event event;
+  event.name = name;
+  event.ts_us = now_us();
+  event.counter = true;
+  event.n_args = 1;
+  event.arg_names[0] = "value";
+  event.arg_values[0] = value;
+  record(event);
 }
 
 void TraceSink::flush() {
   MutexLock lock(&mutex_);
-  if (path_.empty() || (events_.empty() && counters_.empty())) return;
+  if (path_.empty() || events_.empty()) return;
 
   JsonWriter json;
   json.begin_object();
@@ -76,11 +88,11 @@ void TraceSink::flush() {
     json.begin_object();
     json.field("name", e.name);
     json.field("cat", e.category);
-    json.field("ph", "X");
+    json.field("ph", e.counter ? "C" : "X");
     json.field("ts", e.ts_us);
-    json.field("dur", e.dur_us);
+    if (!e.counter) json.field("dur", e.dur_us);
     json.field("pid", std::uint64_t{1});
-    json.field("tid", static_cast<std::uint64_t>(e.tid));
+    if (!e.counter) json.field("tid", static_cast<std::uint64_t>(e.tid));
     if (e.n_args > 0) {
       json.key("args");
       json.begin_object();
@@ -91,26 +103,11 @@ void TraceSink::flush() {
     }
     json.end_object();
   }
-  for (const CounterEvent& c : counters_) {
-    json.begin_object();
-    json.field("name", c.name);
-    json.field("cat", "bgpsim");
-    json.field("ph", "C");
-    json.field("ts", c.ts_us);
-    json.field("pid", std::uint64_t{1});
-    json.key("args");
-    json.begin_object();
-    json.field("value", c.value);
-    json.end_object();
-    json.end_object();
-  }
   json.end_array();
   json.end_object();
 
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+  std::ofstream out = open_sink_file(path_);
   if (out) out << json.str();
 }
-
-void flush_trace() { TraceSink::instance().flush(); }
 
 }  // namespace bgpsim::obs

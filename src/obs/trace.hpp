@@ -1,10 +1,11 @@
 // Chrome trace-event / Perfetto-compatible trace sink.
 //
-// When BGPSIM_TRACE=<path> is set (or set_output() is called), spans emitted
-// through TraceSpan are buffered and flushed to <path> as trace-event JSON:
-// open the file in chrome://tracing or https://ui.perfetto.dev. Each span is
-// a complete ("ph":"X") event with microsecond timestamps relative to process
-// start, a per-thread track, and optional numeric args.
+// Once obs::start() gives it a path (Config::trace: BGPSIM_TRACE or
+// --trace), spans emitted through TraceSpan are buffered and flushed to the
+// path as trace-event JSON: open the file in chrome://tracing or
+// https://ui.perfetto.dev. Each span is a complete ("ph":"X") event with
+// microsecond timestamps relative to process start, a per-thread track, and
+// optional numeric args.
 //
 // When tracing is inactive (the default) a span is a branch on one bool; a
 // -DBGPSIM_OBS=OFF build compiles spans out entirely (see obs/obs.hpp).
@@ -22,14 +23,20 @@ namespace bgpsim::obs {
 
 class TraceSink {
  public:
-  /// Process-wide sink; reads BGPSIM_TRACE once at first use.
+  /// Process-wide sink; disabled until set_output() names a path.
   static TraceSink& instance();
+
+  /// Buffered events (spans and counter points) kept per trace, about
+  /// 28 MiB, so a traced daemon holds bounded memory. Later events are
+  /// dropped and counted in trace.events_dropped.
+  static constexpr std::size_t kMaxEvents = 262144;
 
   /// Lock-free fast-path check: spans branch on this before doing any work.
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// (Re)direct output programmatically (CLI flags, tests). An empty path
-  /// disables tracing. Does not clear already-buffered events.
+  /// (Re)direct output (obs::start, tests) and start a fresh trace: events
+  /// buffered so far are discarded, so flush() first to keep them. An empty
+  /// path disables tracing.
   void set_output(std::string path) BGPSIM_EXCLUDES(mutex_);
 
   /// Microseconds since process trace epoch (steady clock).
@@ -45,6 +52,7 @@ class TraceSink {
     double ts_us = 0.0;
     double dur_us = 0.0;
     std::uint32_t tid = 0;
+    bool counter = false;  ///< a counter-track point (value in arg 0), not a span
     std::size_t n_args = 0;
     const char* arg_names[kMaxArgs] = {};
     double arg_values[kMaxArgs] = {};
@@ -58,7 +66,7 @@ class TraceSink {
 
   /// Write everything buffered so far to the output path. Safe to call
   /// repeatedly; the file is rewritten with the full buffer each time.
-  /// Called automatically at process exit.
+  /// obs::stop() calls it, and so does process exit.
   void flush() BGPSIM_EXCLUDES(mutex_);
 
   /// Small dense id for the calling thread (trace "tid").
@@ -72,18 +80,11 @@ class TraceSink {
   /// Take the sink mutex once per thread to hand out the next dense id.
   std::uint32_t alloc_tid() BGPSIM_EXCLUDES(mutex_);
 
-  struct CounterEvent {
-    const char* name;
-    double ts_us;
-    double value;
-  };
-
   std::atomic<bool> enabled_{false};
   std::int64_t epoch_ns_ = 0;  // set once in the constructor, then read-only
   Mutex mutex_;
   std::string path_ BGPSIM_GUARDED_BY(mutex_);
   std::vector<Event> events_ BGPSIM_GUARDED_BY(mutex_);
-  std::vector<CounterEvent> counters_ BGPSIM_GUARDED_BY(mutex_);
   std::uint32_t next_tid_ BGPSIM_GUARDED_BY(mutex_) = 0;
 };
 
@@ -131,8 +132,5 @@ class TraceSpan {
 struct NullSpan {
   void arg(const char*, double) {}
 };
-
-/// Flush the process trace sink (no-op when tracing is inactive).
-void flush_trace();
 
 }  // namespace bgpsim::obs

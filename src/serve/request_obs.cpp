@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
-#include "support/env.hpp"
 
 namespace bgpsim::serve {
 namespace {
@@ -115,10 +114,9 @@ const obs::HistogramSpec& us_spec() {
 }  // namespace
 
 AccessLog::AccessLog() {
-  const std::string path = env_string("BGPSIM_ACCESS_LOG", "");
-  if (!path.empty()) sink_.set_output(path);
-  slow_threshold_us_.store(env_u64("BGPSIM_SLOW_REQ_US", 0),
-                           std::memory_order_relaxed);
+  const obs::Config config = obs::active_config();
+  sink_.set_output(config.access_log);
+  slow_threshold_us_.store(config.slow_req_us, std::memory_order_relaxed);
 }
 
 void AccessLog::set_output(const std::string& path) { sink_.set_output(path); }
@@ -132,8 +130,6 @@ void AccessLog::set_slow_threshold_us(std::uint64_t us) {
 std::uint64_t AccessLog::slow_threshold_us() const {
   return slow_threshold_us_.load(std::memory_order_relaxed);
 }
-
-std::string AccessLog::path() const { return sink_.path(); }
 
 ScopedRequestId::ScopedRequestId(const std::string& id) {
   obs::set_thread_request_id(id);
@@ -204,8 +200,6 @@ bool AccessLog::enabled() const { return false; }
 void AccessLog::set_slow_threshold_us(std::uint64_t) {}
 
 std::uint64_t AccessLog::slow_threshold_us() const { return 0; }
-
-std::string AccessLog::path() const { return {}; }
 
 ScopedRequestId::ScopedRequestId(const std::string&) {}
 

@@ -1,8 +1,8 @@
 // Request-level observability for the query service: the per-request
 // context threaded query_server -> router -> service, request-id
 // assignment, phase timing, status-class accounting, and the NDJSON access
-// log (BGPSIM_ACCESS_LOG / --access-log, with slow-request capture via
-// BGPSIM_SLOW_REQ_US).
+// log (obs::Config::access_log, with slow-request capture at
+// Config::slow_req_us; DESIGN.md §7).
 //
 // Phase taxonomy (all microseconds, DESIGN.md §12):
 //   queue_wait  accept() -> first request byte (client/network idle; the
@@ -141,8 +141,8 @@ class RequestTimer {
 /// NDJSON access log: one record per answered request, reusing the event-log
 /// sink machinery (locked seq numbers, flush-per-line crash safety) on its
 /// own stream so access records never interleave with simulation events.
-/// Configured by BGPSIM_ACCESS_LOG (first use) or set_output (--access-log).
-/// Disabled and no-op under -DBGPSIM_OBS=OFF.
+/// Configured at first use from obs::active_config(), or by set_output /
+/// set_slow_threshold_us. Disabled and no-op under -DBGPSIM_OBS=OFF.
 class AccessLog {
  public:
   static AccessLog& instance();
@@ -154,10 +154,6 @@ class AccessLog {
   /// plus the raw request body ("params") attached. 0 disables capture.
   void set_slow_threshold_us(std::uint64_t us);
   std::uint64_t slow_threshold_us() const;
-
-  /// Destination path of the access log ("" when disabled, and always under
-  /// -DBGPSIM_OBS=OFF). /statusz reports it in the sinks block.
-  std::string path() const;
 
 #if !defined(BGPSIM_OBS_DISABLED)
   obs::EventLogSink& sink() { return sink_; }

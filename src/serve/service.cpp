@@ -477,15 +477,18 @@ HttpResponse WhatIfService::handle_statusz() const {
     json.field("samples", prof.samples);
     json.field("samples_dropped", prof.dropped);
     json.end_object();
-    // Where each NDJSON/folded sink is writing, "" when unconfigured (and
-    // always under -DBGPSIM_OBS=OFF). One glance answers "is this server
-    // actually logging, and to which files?" without grepping the env.
+    // Where each file sink writes, echoed from the active obs::Config: ""
+    // when unconfigured, and always under -DBGPSIM_OBS=OFF. One glance
+    // answers "is this server logging, and to which files?".
+    const obs::Config config = obs::active_config();
     json.key("sinks");
     json.begin_object();
-    json.field("access_log", AccessLog::instance().path());
-    json.field("eventlog", obs::EventLogSink::instance().path());
-    json.field("profile", prof.path);
-    json.field("provenance", obs::provenance_sink_path());
+    json.field("access_log", config.access_log);
+    json.field("eventlog", config.eventlog);
+    json.field("profile", config.profile);
+    json.field("prom_file", config.prom_file);
+    json.field("provenance", config.provenance.value_or(""));
+    json.field("trace", config.trace);
     json.end_object();
   }
   {

@@ -37,6 +37,7 @@
 
 #include "core/scenario.hpp"
 #include "net/metrics_http.hpp"
+#include "obs/config.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/json_parse.hpp"
@@ -282,8 +283,9 @@ TEST(HeartbeatStress, StartStopChurnVsWritersAndPromRewrite) {
     GTEST_SKIP() << "heartbeat sampler compiled out (-DBGPSIM_OBS=OFF)";
   }
   const std::string prom_path = testing::TempDir() + "concstress_prom.txt";
-  ::setenv("BGPSIM_PROM_FILE", prom_path.c_str(), 1);
-  ::setenv("BGPSIM_HEARTBEAT_SECS", "0.05", 1);
+  obs::Config config;
+  config.prom_file = prom_path;
+  config.heartbeat_secs = 0.05;
 
   std::atomic<bool> done{false};
   std::vector<std::thread> writers;
@@ -307,14 +309,14 @@ TEST(HeartbeatStress, StartStopChurnVsWritersAndPromRewrite) {
 
   obs::ProgressTracker::instance().add_total(1000);
   for (int i = 0; i < 8; ++i) {
-    obs::heartbeat_start();
+    obs::start(config);
     obs::emit_heartbeat_now();
-    obs::heartbeat_stop();
+    obs::stop();
   }
   done.store(true, std::memory_order_release);
   for (std::thread& t : writers) t.join();
   emitter.join();
-  obs::heartbeat_stop();  // idempotent on an already-stopped sampler
+  obs::stop();  // idempotent on an already-stopped sampler
 
   // The exposition file was rewritten (atomic rename) many times mid-churn;
   // whatever survives must be a complete snapshot, not a torn write.
@@ -324,8 +326,6 @@ TEST(HeartbeatStress, StartStopChurnVsWritersAndPromRewrite) {
   contents << prom.rdbuf();
   EXPECT_NE(contents.str().find("progress"), std::string::npos);
 
-  ::unsetenv("BGPSIM_PROM_FILE");
-  ::unsetenv("BGPSIM_HEARTBEAT_SECS");
   std::remove(prom_path.c_str());
 }
 
@@ -343,8 +343,10 @@ TEST(ProfilerStress, StartStopChurnVsBusyThreads) {
   if (!obs::kProfilerCompiled) {
     GTEST_SKIP() << "profiler compiled out (-DBGPSIM_OBS=OFF)";
   }
-  ::setenv("BGPSIM_PROFILE_RING", "64", 1);
-  const std::string path = testing::TempDir() + "concstress_profile.folded";
+  obs::Config config;
+  config.profile = testing::TempDir() + "concstress_profile.folded";
+  config.profile_hz = 997;
+  config.profile_ring = 64;
 
   std::atomic<bool> done{false};
   std::vector<std::thread> burners;
@@ -363,19 +365,19 @@ TEST(ProfilerStress, StartStopChurnVsBusyThreads) {
   });
 
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(obs::profiler_start(path, 997));
+    obs::start(config);
+    ASSERT_TRUE(obs::profiler_status().active);
     volatile std::uint64_t spin = 0;
     for (int j = 0; j < 200000; ++j) spin = spin + j;
-    (void)obs::profiler_stop();
+    obs::stop();
   }
   done.store(true, std::memory_order_release);
   for (std::thread& t : burners) t.join();
   poller.join();
-  obs::profiler_stop();  // idempotent on an already-stopped profiler
+  obs::stop();  // idempotent on an already-stopped profiler
   EXPECT_FALSE(obs::profiler_status().active);
 
-  ::unsetenv("BGPSIM_PROFILE_RING");
-  std::remove(path.c_str());
+  std::remove(config.profile.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/config.hpp"
+
 namespace bgpsim {
 namespace {
 
@@ -17,13 +19,16 @@ static_assert(!obs::kHeartbeatCompiled,
               "BGPSIM_OBS=OFF must compile the heartbeat sampler out");
 
 TEST(HeartbeatCompile, ObsOffApiIsCallableNoOps) {
-  // The stubs keep call sites (CLI --progress, bench_common) compiling
-  // unchanged; none of them may start a thread or touch any sink.
-  obs::heartbeat_force_stderr(true);
-  obs::heartbeat_start();
+  // The stubs keep call sites (obs::start, tests) compiling unchanged; none
+  // of them may start a thread or touch any sink, even with the stderr
+  // status line configured.
+  obs::Config config;
+  config.progress_stderr = true;
+  obs::start(config);
+  obs::heartbeat_start(config);
   obs::emit_heartbeat_now();
   obs::heartbeat_stop();
-  obs::heartbeat_stop();  // idempotent
+  obs::stop();  // idempotent
 }
 
 #else
@@ -32,10 +37,10 @@ static_assert(obs::kHeartbeatCompiled,
               "default build must carry the heartbeat sampler");
 
 TEST(HeartbeatCompile, StartWithoutSinksIsInert) {
-  // No BGPSIM_EVENTLOG / BGPSIM_PROM_* / stderr flag in the test
-  // environment: start() must decline to spawn the sampler thread, and
-  // stop() without start must be harmless.
-  obs::heartbeat_start();
+  // A default Config names no event log, prom file/port or stderr status:
+  // start() must decline to spawn the sampler thread, and stop() without
+  // start must be harmless.
+  obs::heartbeat_start(obs::Config{});
   obs::heartbeat_stop();
   obs::heartbeat_stop();
 }

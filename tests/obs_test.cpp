@@ -1,6 +1,7 @@
 // bgpsim::obs — registry, histograms, scoped timers, trace sink, run reports.
 #include "obs/obs.hpp"
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -191,6 +192,39 @@ TEST(TraceSinkTest, WritesChromeTraceJson) {
   EXPECT_NE(text.find("\"test.span\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
+}
+
+TEST(TraceSinkTest, KeepsTheFirstMaxEventsAndCountsTheRest) {
+  const std::string path = testing::TempDir() + "/bgpsim_obs_trace_cap.json";
+  const auto dropped = [] {
+    const RegistrySnapshot snap = registry().snapshot();
+    const auto it = snap.counters.find("trace.events_dropped");
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t before = dropped();
+  TraceSink& sink = TraceSink::instance();
+  sink.set_output(path);
+  TraceSink::Event event;
+  event.name = "cap.span";
+  for (std::size_t i = 0; i < TraceSink::kMaxEvents; ++i) sink.record(event);
+  // Nothing dropped yet: the counter is not even registered.
+  EXPECT_EQ(registry().snapshot().counters.count("trace.events_dropped"), 0u);
+  constexpr std::uint64_t kExtra = 5;
+  for (std::uint64_t i = 0; i < kExtra; ++i) sink.record(event);
+  sink.counter("cap.counter", 1.0);  // counter points share the cap
+  sink.flush();
+  sink.set_output("");
+
+  EXPECT_EQ(dropped() - before, kExtra + 1);
+  const std::string text = slurp(path);
+  std::size_t kept = 0;
+  for (std::size_t pos = text.find("\"cap.span\""); pos != std::string::npos;
+       pos = text.find("\"cap.span\"", pos + 1)) {
+    ++kept;
+  }
+  EXPECT_EQ(kept, TraceSink::kMaxEvents);
+  EXPECT_EQ(text.find("\"cap.counter\""), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST(RunReportTest, WritesReportWithMetricsSnapshot) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/config.hpp"
+
 namespace bgpsim {
 namespace {
 
@@ -17,10 +19,15 @@ static_assert(!obs::kProfilerCompiled,
               "BGPSIM_OBS=OFF must compile the profiler out");
 
 TEST(ProfilerCompile, ObsOffApiIsCallableNoOps) {
-  // The stubs keep call sites (CLI --profile, bench_common, perf_engine)
-  // compiling unchanged; none of them may install a handler or arm a timer.
+  // The stubs keep call sites (obs::start, tests) compiling unchanged; none
+  // of them may install a handler or arm a timer, even with a profile
+  // configured.
   EXPECT_FALSE(obs::profiler_start("/dev/null"));
-  obs::profiler_start_from_env();
+  obs::Config config;
+  config.profile = "/dev/null";
+  obs::start(config);
+  EXPECT_FALSE(obs::profiler_status().active);
+  obs::stop();
   EXPECT_EQ(obs::profiler_stop(), 0u);
   const obs::ProfilerStatus status = obs::profiler_status();
   EXPECT_FALSE(status.active);

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/config.hpp"
 #include "obs/timer.hpp"
 
 #if !defined(BGPSIM_OBS_DISABLED)
@@ -134,8 +135,9 @@ TEST(Profiler, StopWithoutStartReturnsZero) {
 
 TEST(Profiler, StartFromEnvWithoutProfilePathIsInert) {
   // No BGPSIM_PROFILE in the test environment: nothing may activate.
-  obs::profiler_start_from_env();
+  obs::start(obs::Config::from_env());
   EXPECT_FALSE(obs::profiler_status().active);
+  obs::stop();
 }
 
 }  // namespace

@@ -8,12 +8,14 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "obs/config.hpp"
 #include "obs/json_parse.hpp"
 #include "serve/query_server.hpp"
 #include "serve/service.hpp"
@@ -255,6 +257,42 @@ TEST_F(ServeTest, StatuszEndpoint) {
   ASSERT_NE(requests->find("status_4xx"), nullptr);
   ASSERT_NE(requests->find("status_5xx"), nullptr);
   ASSERT_NE(requests->find("dropped"), nullptr);
+}
+
+TEST_F(ServeTest, StatuszSinksEchoTheObsConfig) {
+  // An access log and an event log configured; every other sink is not.
+  const std::string dir = testing::TempDir() + "serve_statusz_sinks_" +
+                          std::to_string(getpid()) + "/";
+  obs::Config config;
+  config.access_log = dir + "access.ndjson";
+  config.eventlog = dir + "events.ndjson";
+  obs::start(config);
+  const ClientResponse response = http_request(port(), "GET", "/statusz");
+  obs::stop();
+  ASSERT_EQ(response.status, 200);
+  const obs::JsonValue doc = obs::JsonValue::parse(response.body);
+  const obs::JsonValue* sinks = doc.find("sinks");
+  ASSERT_NE(sinks, nullptr);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : sinks->members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"access_log", "eventlog", "profile",
+                                            "prom_file", "provenance", "trace"}));
+#if defined(BGPSIM_OBS_DISABLED)
+  // start() arms nothing: no file is opened and every sink reads "".
+  EXPECT_FALSE(std::filesystem::exists(config.eventlog));
+  for (const auto& [key, value] : sinks->members()) {
+    EXPECT_EQ(value.as_string(), "") << key;
+  }
+#else
+  EXPECT_TRUE(std::filesystem::exists(config.eventlog));
+  for (const auto& [key, value] : sinks->members()) {
+    const std::string want = key == "access_log" ? config.access_log
+                             : key == "eventlog" ? config.eventlog
+                                                 : "";
+    EXPECT_EQ(value.as_string(), want) << key;
+  }
+#endif
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ServeTest, RequestIdMintedWhenAbsent) {

@@ -12,7 +12,8 @@
 //       AS's per-generation route-decision history (candidates, rank, why
 //       displaced); --trace-pollution records infection provenance and
 //       appends a pollution_trace JSON block (depth histogram, choke
-//       points, deployment frontier) — equivalent to BGPSIM_PROVENANCE=1
+//       points, deployment frontier) — BGPSIM_PROVENANCE=1 turns on the
+//       recording for every attack but prints no block
 //   bgpsim attribution (--topo file | --ases N) --victim ASN --attacker ASN
 //                      [--core K] [--top K] [--cuts N] [--json]
 //       traced exact-prefix hijack plus choke-point attribution: rank
@@ -52,25 +53,21 @@
 //       long-lived loopback query service: POST /v1/attack, GET
 //       /v1/topology, GET /metrics, GET /healthz, GET /statusz; drains and
 //       exits 0 on SIGTERM/SIGINT. --access-log writes one NDJSON record
-//       per request (equivalent to BGPSIM_ACCESS_LOG=<file>; slow-request
-//       capture via BGPSIM_SLOW_REQ_US)
+//       per request
 //
 // Observability (any command):
 //   --obs [file]       dump the metrics-registry snapshot after the command:
 //                      a human summary to stdout (time.* histograms as
 //                      p50/p90/p99), or full JSON when <file> is given
 //   --trace <file>     write a chrome://tracing / Perfetto trace of the run
-//                      (equivalent to BGPSIM_TRACE=<file>)
 //   --eventlog <file>  write the structured NDJSON event log there
-//                      (equivalent to BGPSIM_EVENTLOG=<file>)
-//   --progress         heartbeat status line on stderr while the command
-//                      runs (equivalent to BGPSIM_PROGRESS_STDERR=1); the
-//                      sampler also honors BGPSIM_PROM_FILE/BGPSIM_PROM_PORT
+//   --progress         heartbeat status line on stderr while the command runs
 //   --profile <file>   sample the command with the in-process SIGPROF CPU
 //                      profiler and write a collapsed-stack (folded) profile
 //                      there on exit — feed it to flamegraph.pl, speedscope,
-//                      or bgpsim-profview (equivalent to
-//                      BGPSIM_PROFILE=<file>; rate via BGPSIM_PROFILE_HZ)
+//                      or bgpsim-profview
+// Each of these flags (and --access-log) wins over its BGPSIM_* env var;
+// every obs knob, its default and its flag are the DESIGN.md §7 knob table.
 #include <poll.h>
 
 #include <csignal>
@@ -94,10 +91,8 @@
 #include "obs/obs.hpp"
 #include "obs/promtext.hpp"
 #include "serve/query_server.hpp"
-#include "serve/request_obs.hpp"
 #include "serve/service.hpp"
 #include "store/snapshot.hpp"
-#include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 #include "topology/caida_writer.hpp"
@@ -608,10 +603,6 @@ int cmd_serve(const Args& args) {
   if (const auto max_body = args.number("max-body")) {
     options.limits.max_body_bytes = static_cast<std::size_t>(*max_body);
   }
-  if (const auto access_log = args.text("access-log");
-      access_log && !access_log->empty()) {
-    serve::AccessLog::instance().set_output(*access_log);
-  }
   serve::QueryServer server(service.make_router(), options);
   if (!server.start()) {
     std::fprintf(stderr, "error: cannot bind 127.0.0.1:%u\n", options.port);
@@ -650,7 +641,7 @@ int usage() {
 void emit_obs_snapshot(const std::string& destination) {
   const obs::RegistrySnapshot snap = obs::registry().snapshot();
   if (!destination.empty()) {
-    std::ofstream out(destination);
+    std::ofstream out = obs::open_sink_file(destination);
     out << snap.to_json() << '\n';
     if (!out) {
       std::fprintf(stderr, "error: cannot write metrics snapshot to %s\n",
@@ -707,26 +698,12 @@ int run_command(const Args& args) {
 int main(int argc, char** argv) {
   try {
     const Args args = parse_args(argc, argv);
-    if (const auto trace = args.text("trace"); trace && !trace->empty()) {
-      obs::TraceSink::instance().set_output(*trace);
-    }
-    if (const auto eventlog = args.text("eventlog"); eventlog && !eventlog->empty()) {
-      obs::EventLogSink::instance().set_output(*eventlog);
-    }
-    if (args.flag("progress")) obs::heartbeat_force_stderr(true);
-    if (const auto profile = args.text("profile"); profile && !profile->empty()) {
-      obs::profiler_start(*profile,
-                          static_cast<unsigned>(env_u64("BGPSIM_PROFILE_HZ",
-                                                        obs::kDefaultProfileHz)));
-    } else {
-      obs::profiler_start_from_env();  // --profile wins over BGPSIM_PROFILE
-    }
-    obs::heartbeat_start();  // no-op unless a telemetry sink is configured
+    obs::Config config = obs::Config::from_env();
+    for (const auto& [name, value] : args.options) config.apply_flag(name, value);
+    obs::start(config);
     const int status = run_command(args);
-    obs::heartbeat_stop();
-    obs::profiler_stop();  // writes the folded profile named by --profile
+    obs::stop();
     if (args.flag("obs")) emit_obs_snapshot(args.text("obs").value_or(""));
-    obs::flush_trace();
     return status;
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -132,6 +132,11 @@ constexpr RuleInfo kRules[] = {
      "and the baseline store (src/store/) call an engine's announce, "
      "compute_hijack or compute_single; every other surface attacks through "
      "HijackSimulator::attack_ex so there is exactly one attack path"},
+    {"obs-config-home",
+     "in src/, only obs::Config::from_env() (src/obs/config.cpp) reads the "
+     "environment through env_string/env_u64/env_f64/env_bool, plus the "
+     "sweep pool's BGPSIM_THREADS read in src/analysis/vulnerability.cpp; "
+     "every obs knob is parsed once and echoed on /statusz"},
     {"self-contained", "every public header under src/ compiles standalone"},
     {"io", "linted file could not be read"},
 };
@@ -410,6 +415,7 @@ struct FileContext {
   bool is_provenance_home = false;  // src/bgp/ + src/obs/: record_edge allowed
   bool is_campaign_home = false;    // src/campaign/: estimator/sampler types
   bool is_attack_home = false;  // src/{bgp,hijack,store}/: engine runs
+  bool is_env_home = false;  // src/obs/config.cpp + src/support/env.*
 };
 
 FileContext classify(const fs::path& path, const fs::path& root) {
@@ -435,6 +441,8 @@ FileContext classify(const fs::path& path, const fs::path& root) {
   ctx.is_attack_home = starts_with(ctx.rel, "src/bgp/") ||
                        starts_with(ctx.rel, "src/hijack/") ||
                        starts_with(ctx.rel, "src/store/");
+  ctx.is_env_home = ctx.rel == "src/obs/config.cpp" ||
+                    starts_with(ctx.rel, "src/support/env.");
   return ctx;
 }
 
@@ -708,6 +716,24 @@ void run_token_rules(const FileContext& ctx, const LexedFile& lexed,
     }
 
     if (!ctx.is_library) continue;
+
+    // obs-config-home: one reader of the environment, so every knob has
+    // one parser, one default and one /statusz echo. The sweep pool's
+    // BGPSIM_THREADS is not an obs knob and keeps its own read.
+    if (!ctx.is_env_home && i + 1 < toks.size() && punct_is(toks[i + 1], "(") &&
+        (ident_is(toks[i], "env_string") || ident_is(toks[i], "env_u64") ||
+         ident_is(toks[i], "env_f64") || ident_is(toks[i], "env_bool"))) {
+      const bool threads_read = ctx.rel == "src/analysis/vulnerability.cpp" &&
+                                i + 2 < toks.size() &&
+                                toks[i + 2].kind == Token::Kind::String &&
+                                toks[i + 2].text == "BGPSIM_THREADS";
+      if (!threads_read) {
+        findings.push_back({ctx.rel, toks[i].line, "obs-config-home",
+                            toks[i].text +
+                                "() outside src/obs/config.cpp; add the knob "
+                                "to obs::Config and read the active config"});
+      }
+    }
 
     // raw-lock: direct mutex operations outside the RAII guard. The guard
     // itself (bgpsim::Mutex / MutexLock in thread_annotations.hpp) carries
