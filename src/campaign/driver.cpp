@@ -29,9 +29,6 @@ struct StratumRun {
   std::uint64_t round_quota = 0; ///< samples added per round
   std::uint64_t next = 0;        ///< first unprocessed sample index
   StratumEstimator est;
-  /// Closed per-round moment shards; folded with MomentAccumulator::merge
-  /// (exactly associative) into the reported per-stratum moments.
-  std::vector<MomentAccumulator> polluted_shards;
   std::unique_ptr<HijackSimulator> sim;
 };
 
@@ -40,21 +37,19 @@ struct Pooled {
   double ci_half_width = 0.0;
 };
 
-/// Stratified pooling over the per-stratum moment folds, in fixed stratum
-/// order so the floating-point result is identical for every worker count.
+/// Stratified pooling over the per-stratum polluted-count moments, in fixed
+/// stratum order so the floating-point result is identical for every worker
+/// count (the moments themselves are exact integers).
 Pooled pool_fraction(const std::vector<StratumRun>& runs, double inv_ases) {
   Pooled out;
   double variance = 0.0;
   for (const StratumRun& run : runs) {
-    MomentAccumulator folded;
-    for (const MomentAccumulator& shard : run.polluted_shards) {
-      folded.merge(shard);
-    }
-    if (folded.count() == 0) continue;
+    const MomentAccumulator& polluted = run.est.polluted;
+    if (polluted.count() == 0) continue;
     const double w = run.stratum->weight;
-    out.mean += w * folded.mean() * inv_ases;
-    variance += w * w * (folded.variance() * inv_ases * inv_ases) /
-                static_cast<double>(folded.count());
+    out.mean += w * polluted.mean() * inv_ases;
+    variance += w * w * (polluted.variance() * inv_ases * inv_ases) /
+                static_cast<double>(polluted.count());
   }
   out.ci_half_width = kZ95 * std::sqrt(variance);
   return out;
@@ -151,7 +146,6 @@ CampaignResult run_campaign(const Scenario& scenario,
   result.deployment_top = spec.deployment_top;
   result.probes = spec.probes;
 
-  bool cancelled = false;
   for (;;) {
     bool any_work = false;
     for (StratumRun& run : runs) any_work |= run.next < run.budget;
@@ -172,7 +166,6 @@ CampaignResult run_campaign(const Scenario& scenario,
             const std::uint64_t stop =
                 std::min(run.budget, run.next + run.round_quota);
             if (run.next >= stop) continue;
-            MomentAccumulator shard;
             for (std::uint64_t i = run.next; i < stop; ++i) {
               if (cancel != nullptr &&
                   cancel->load(std::memory_order_relaxed)) {
@@ -183,7 +176,6 @@ CampaignResult run_campaign(const Scenario& scenario,
               const DetectionOutcome detection =
                   probes ? evaluate_detection(run.sim->routes(), *probes)
                          : DetectionOutcome{};
-              shard.add(attack.polluted_ases);
               run.est.add_sample(attack.polluted_ases, run.sim->last_attack_warm(),
                                  detection.detected(),
                                  detection.first_generation_proxy,
@@ -191,7 +183,6 @@ CampaignResult run_campaign(const Scenario& scenario,
               run.next = i + 1;
               BGPSIM_PROGRESS_TICK();
             }
-            if (shard.count() > 0) run.polluted_shards.push_back(shard);
           }
         });
     result.rounds += 1;
@@ -207,7 +198,6 @@ CampaignResult run_campaign(const Scenario& scenario,
     }
 
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      cancelled = true;
       result.stop_reason = "cancelled";
       break;
     }
@@ -224,7 +214,6 @@ CampaignResult run_campaign(const Scenario& scenario,
       }
     }
   }
-  (void)cancelled;
 
   // Final fold + report rows, in stratum order (deterministic FP).
   const Pooled pooled = pool_fraction(runs, inv_ases);

@@ -8,10 +8,10 @@
 // *rounds*: each round extends every stratum's sample range by its quota,
 // strata fan out across workers via bgpsim::parallel_chunks, and after the
 // join the pooled CI half-width decides whether to stop early. Because
-// per-sample randomness is counter-based, per-stratum streams are processed
-// in index order, shard states merge exactly (integer moments), and the
-// stop rule only reads post-barrier state, the full result — estimates,
-// CI trajectory, samples used — is bit-identical for any worker count.
+// per-sample randomness is counter-based, each stratum's estimator is fed by
+// one worker at a time in sample-index order, and the stop rule only reads
+// post-barrier state, the full result — estimates, CI trajectory, samples
+// used — is bit-identical for any worker count.
 //
 // Pooling uses the standard stratified formulas over attacker-population
 // weights w_s: mean = Σ w_s·μ_s, Var(mean) = Σ w_s²·σ_s²/n_s, CI half-width

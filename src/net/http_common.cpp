@@ -176,6 +176,43 @@ void write_http_response(int fd, int status, std::string_view content_type,
   }
 }
 
+void answer_metrics_scrape(int conn,
+                           const std::function<std::string()>& provider) {
+  // A scrape request is tiny; anything bigger is not a Prometheus scraper.
+  constexpr HttpLimits kScrapeLimits{
+      .max_head_bytes = 2048,
+      .max_body_bytes = 0,
+      .read_timeout_millis = 1000,
+  };
+  HttpRequest request;
+  switch (read_http_request(conn, kScrapeLimits, request)) {
+    case HttpReadStatus::Ok:
+      break;
+    case HttpReadStatus::TooLarge:
+      write_http_response(conn, 413, "text/plain; charset=utf-8",
+                          "request too large\n");
+      return;
+    case HttpReadStatus::Malformed:
+      write_http_response(conn, 400, "text/plain; charset=utf-8",
+                          "malformed request\n");
+      return;
+    case HttpReadStatus::Timeout:
+    case HttpReadStatus::Closed:
+      return;  // nothing useful to answer
+  }
+
+  const bool is_metrics = request.method == "GET" &&
+                          request.target.rfind("/metrics", 0) == 0 &&
+                          (request.target.size() == 8 ||
+                           request.target[8] == '?');
+  if (is_metrics) {
+    write_http_response(conn, 200, "text/plain; version=0.0.4; charset=utf-8",
+                        provider ? provider() : std::string());
+  } else {
+    write_http_response(conn, 404, "text/plain; charset=utf-8", "not found\n");
+  }
+}
+
 int open_loopback_listener(std::uint16_t port, std::uint16_t& bound_port) {
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;

@@ -1,11 +1,11 @@
-// Shared HTTP/1.1 plumbing for the loopback servers in this repo: the
-// /metrics exposition endpoint (obs heartbeat) and the bgpsim::serve query
-// router both speak through these helpers.
+// Shared HTTP/1.1 plumbing for the loopback servers in this repo. The
+// accept loop lives once, in net::LoopbackServer; these helpers are what its
+// connection handlers speak through — the bgpsim::serve query router and
+// answer_metrics_scrape() below, the heartbeat's /metrics endpoint.
 //
 // Scope is deliberately narrow — blocking sockets driven by poll(), one
 // request per connection, Connection: close — because both servers are
-// operational plumbing, not general web servers. What the helpers do add
-// over the original metrics-only loop:
+// operational plumbing, not general web servers. Every connection gets:
 //   * a per-connection read timeout (a stalled peer cannot pin a worker),
 //   * oversized-request rejection (bounded head and body buffers), and
 //   * request-line + Content-Length parsing so POST bodies work.
@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -76,6 +77,15 @@ const char* http_status_text(int status);
 void write_http_response(int fd, int status, std::string_view content_type,
                          std::string_view body,
                          std::string_view extra_headers = {});
+
+/// Answer one Prometheus scrape on `conn`: `GET /metrics` (with or without a
+/// query string) gets 200 and provider()'s exposition text, any other
+/// request 404; an oversized head gets 413, an unparseable one 400, and a
+/// peer that stalls or hangs up gets no answer. A scrape is tiny, so the
+/// limits are tight: 2 KiB head, no body, 1 s read timeout. Does not close
+/// `conn`.
+void answer_metrics_scrape(int conn,
+                           const std::function<std::string()>& provider);
 
 /// Bind a loopback TCP listener (port 0 = ephemeral) and start listening.
 /// Returns the listening fd (non-blocking) and fills `bound_port`, or -1.

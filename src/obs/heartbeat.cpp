@@ -13,7 +13,8 @@
 #include <thread>
 #include <utility>
 
-#include "net/metrics_http.hpp"
+#include "net/http_common.hpp"
+#include "net/loopback_server.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
@@ -103,7 +104,10 @@ class HeartbeatSampler {
     }
 
     if (config.prom_port != 0) {
-      server_.start(config.prom_port, [] { return scrape_prom_text(); });
+      server_.start(config.prom_port, /*workers=*/1,
+                    [](unsigned /*worker*/, int conn) {
+                      net::answer_metrics_scrape(conn, scrape_prom_text);
+                    });
     }
     stop_requested_ = false;
     running_ = true;
@@ -234,7 +238,7 @@ class HeartbeatSampler {
 
   Mutex emit_mutex_;
   Config config_ BGPSIM_GUARDED_BY(emit_mutex_);  // the sinks of this run
-  net::MetricsHttpServer server_;  // lifecycle-safe on its own lock
+  net::LoopbackServer server_;  // GET /metrics; lifecycle-safe on its own lock
 };
 
 }  // namespace

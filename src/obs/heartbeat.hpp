@@ -7,7 +7,9 @@
 //   - `mem.*` and `progress.*` gauges in the metrics registry,
 //   - a Prometheus exposition file (Config::prom_file, atomic rename per
 //     interval — node_exporter textfile-collector compatible),
-//   - an HTTP GET /metrics endpoint (Config::prom_port, loopback),
+//   - an HTTP GET /metrics endpoint (Config::prom_port): a one-worker
+//     net::LoopbackServer, the accept loop the query service also runs on,
+//     answering each scrape with net::answer_metrics_scrape,
 //   - an optional one-line stderr status (Config::progress_stderr).
 //
 // obs::start() calls heartbeat_start(), which is idempotent and does

@@ -1,9 +1,5 @@
 #include "serve/query_server.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <utility>
 
@@ -11,79 +7,21 @@
 #include "serve/request_obs.hpp"
 
 namespace bgpsim::serve {
-namespace {
-
-// poll() sleep between stop-flag checks (same cadence as the /metrics
-// loop; library code outside src/obs/ must not use <chrono>).
-constexpr int kPollMillis = 200;
-
-}  // namespace
 
 QueryServer::QueryServer(Router router, QueryServerOptions options)
     : router_(std::move(router)), options_(options) {
   options_.workers = std::clamp(options_.workers, 1u, 64u);
 }
 
-QueryServer::~QueryServer() { stop(); }
-
 bool QueryServer::start() {
-  MutexLock lock(&mutex_);
-  if (running_.load(std::memory_order_acquire)) return false;
-
-  std::uint16_t bound = 0;
-  const int fd = net::open_loopback_listener(options_.port, bound);
-  if (fd < 0) return false;
-  listen_fd_ = fd;
-  port_.store(bound, std::memory_order_release);
-
-  stop_requested_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  workers_.reserve(options_.workers);
-  for (unsigned i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this, i, fd] { worker_loop(i, fd); });
+  if (!server_.start(options_.port, options_.workers,
+                     [this](unsigned worker, int conn) {
+                       handle_connection(worker, conn);
+                     })) {
+    return false;
   }
   BGPSIM_GAUGE_SET("serve.workers", options_.workers);
   return true;
-}
-
-void QueryServer::stop() {
-  std::vector<std::thread> workers;
-  int fd = -1;
-  {
-    MutexLock lock(&mutex_);
-    if (!running_.load(std::memory_order_acquire)) return;
-    // Flip running_ before the join: a concurrent stop() (SIGTERM drain
-    // racing a destructor, say) returns here instead of joining the same
-    // worker handles twice.
-    running_.store(false, std::memory_order_release);
-    stop_requested_.store(true, std::memory_order_release);
-    workers = std::move(workers_);
-    workers_.clear();
-    fd = listen_fd_;
-    listen_fd_ = -1;
-  }
-  for (std::thread& worker : workers) {
-    if (worker.joinable()) worker.join();
-  }
-  // Close only after every worker stopped polling the fd.
-  if (fd >= 0) close(fd);
-  port_.store(0, std::memory_order_release);
-}
-
-void QueryServer::worker_loop(unsigned index, int listen_fd) {
-  // The listener is non-blocking, so every worker can poll it and the
-  // kernel hands each pending connection to exactly one accept() winner;
-  // the losers see EAGAIN and go back to polling.
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    struct pollfd pfd{listen_fd, POLLIN, 0};
-    const int ready = poll(&pfd, 1, kPollMillis);
-    if (ready <= 0) continue;  // timeout or EINTR: re-check the stop flag
-    const int conn = accept(listen_fd, nullptr, nullptr);
-    if (conn < 0) continue;  // raced another worker (EAGAIN) or transient
-
-    handle_connection(index, conn);
-    close(conn);
-  }
 }
 
 void QueryServer::handle_connection(unsigned index, int conn) {

@@ -1,22 +1,19 @@
 // Long-lived loopback HTTP server for hijack what-if queries.
 //
-// Generalizes the single-connection /metrics exposition loop
-// (net/metrics_http) into a fixed pool of worker threads that all
-// poll()+accept() one shared non-blocking listener. Each worker handles one
-// connection at a time end-to-end (read -> route -> write -> close), so the
-// connection limit is the worker count and per-worker handler state needs
-// no locks. stop() drains: workers finish their in-flight request, then the
-// listener closes.
+// A fixed pool of worker threads on net::LoopbackServer, the accept loop the
+// heartbeat's /metrics endpoint also runs on: every worker poll()s and
+// accept()s one shared non-blocking listener and handles one connection at
+// a time end-to-end (read -> route -> write), so the connection limit is the
+// worker count and per-worker handler state needs no locks. This class adds
+// the request lifecycle on top (handle_connection). stop() drains: workers
+// finish their in-flight request, then the listener closes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
-#include <vector>
 
 #include "net/http_common.hpp"
+#include "net/loopback_server.hpp"
 #include "serve/router.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace bgpsim::serve {
 
@@ -32,7 +29,6 @@ class QueryServer {
   /// safe to call from `options.workers` threads at once (the worker index
   /// argument exists so they can shard state instead of locking).
   QueryServer(Router router, QueryServerOptions options);
-  ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
@@ -40,22 +36,17 @@ class QueryServer {
   /// Bind and spawn the workers. Returns false when the port cannot be
   /// bound or the server is already running (no throw: the CLI turns this
   /// into an exit code).
-  bool start() BGPSIM_EXCLUDES(mutex_);
+  bool start();
 
   /// Drain and join. Safe to call from a signal-triggered main loop,
-  /// idempotent, and safe to call concurrently: running_ flips before the
-  /// join, so exactly one caller drains and the rest return immediately.
-  void stop() BGPSIM_EXCLUDES(mutex_);
+  /// idempotent, and safe to call concurrently: exactly one caller drains
+  /// and the rest return immediately.
+  void stop() { server_.stop(); }
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
-  std::uint16_t port() const { return port_.load(std::memory_order_acquire); }
+  bool running() const { return server_.running(); }
+  std::uint16_t port() const { return server_.port(); }
 
  private:
-  /// One worker's accept loop. The listener fd is fixed for the lifetime of
-  /// one start()/stop() cycle and passed by value, so the loop reads nothing
-  /// guarded by the lifecycle lock — only the stop_requested_ atomic.
-  void worker_loop(unsigned index, int listen_fd);
-
   /// One accepted connection end-to-end: read, route, write, account. Owns
   /// the request lifecycle — request-id assignment/echo, phase timing,
   /// status-class counters, in-flight gauge, and the access-log record.
@@ -64,12 +55,9 @@ class QueryServer {
 
   Router router_;
   QueryServerOptions options_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_requested_{false};
-  std::atomic<std::uint16_t> port_{0};
-  Mutex mutex_;
-  int listen_fd_ BGPSIM_GUARDED_BY(mutex_) = -1;
-  std::vector<std::thread> workers_ BGPSIM_GUARDED_BY(mutex_);
+  /// Declared after router_ and options_, so it is destroyed first: its
+  /// destructor joins the workers before the state they read goes away.
+  net::LoopbackServer server_;
 };
 
 }  // namespace bgpsim::serve

@@ -5,6 +5,8 @@
 //
 //   - N clients hammering the query server while SIGTERM-style drains race
 //     each other and the destructor,
+//   - /metrics scrapes racing concurrent stops, and a restart racing a
+//     drain, on the shared accept loop (net::LoopbackServer),
 //   - heartbeat start/stop churn against metric writers and the Prometheus
 //     exposition-file rewrite (regression: the stop/join ordering race),
 //   - event-log writers against flush()/set_output() churn (regression: the
@@ -36,7 +38,8 @@
 #include <vector>
 
 #include "core/scenario.hpp"
-#include "net/metrics_http.hpp"
+#include "net/http_common.hpp"
+#include "net/loopback_server.hpp"
 #include "obs/config.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/heartbeat.hpp"
@@ -227,9 +230,18 @@ TEST_F(QueryServerStress, ConcurrentDrainWhileClientsHammer) {
 // /metrics exposition server: scrapes racing concurrent stops
 // ---------------------------------------------------------------------------
 
+/// The heartbeat's /metrics endpoint: one LoopbackServer worker answering
+/// scrapes with a fixed exposition body.
+bool start_metrics_endpoint(net::LoopbackServer& server) {
+  return server.start(0, /*workers=*/1, [](unsigned /*worker*/, int conn) {
+    net::answer_metrics_scrape(conn,
+                               [] { return std::string("bgpsim_up 1\n"); });
+  });
+}
+
 TEST(MetricsHttpStress, ScrapesRaceConcurrentStops) {
-  net::MetricsHttpServer server;
-  ASSERT_TRUE(server.start(0, [] { return std::string("bgpsim_up 1\n"); }));
+  net::LoopbackServer server;
+  ASSERT_TRUE(start_metrics_endpoint(server));
   const std::uint16_t port = server.port();
   ASSERT_GT(port, 0);
 
@@ -261,11 +273,34 @@ TEST(MetricsHttpStress, ScrapesRaceConcurrentStops) {
   EXPECT_FALSE(server.running());
 
   // Restart proves stop() left the lifecycle state coherent.
-  ASSERT_TRUE(server.start(0, [] { return std::string("bgpsim_up 1\n"); }));
+  ASSERT_TRUE(start_metrics_endpoint(server));
   const ClientResponse scrape = http_request(server.port(), "GET", "/metrics");
   EXPECT_EQ(scrape.status, 200);
   EXPECT_EQ(scrape.body, "bgpsim_up 1\n");
   server.stop();
+}
+
+// A start() that lands while another thread's stop() is still joining gets
+// fresh workers and must not keep the retiring ones alive: they are usually
+// still inside their 200 ms poll() when the restart happens, and a shared
+// stop flag reset by that start() would leave the drain joining forever.
+TEST(LoopbackServerStress, StartDuringDrainRetiresTheOldWorkers) {
+  net::LoopbackServer server;
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_TRUE(start_metrics_endpoint(server));
+    std::thread drain([&server] { server.stop(); });
+    while (server.running()) {
+    }
+    ASSERT_TRUE(start_metrics_endpoint(server));
+    drain.join();
+    ASSERT_TRUE(server.running());
+    const ClientResponse scrape =
+        http_request(server.port(), "GET", "/metrics");
+    EXPECT_EQ(scrape.status, 200);
+    server.stop();
+    EXPECT_FALSE(server.running());
+    EXPECT_EQ(server.port(), 0);
+  }
 }
 
 // ---------------------------------------------------------------------------

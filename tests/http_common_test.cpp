@@ -1,5 +1,5 @@
-// net/http_common: request parsing, limits, timeout, response writing —
-// driven over socketpairs, no real network.
+// net/http_common: request parsing, limits, timeout, response writing and
+// the /metrics scrape answers — driven over socketpairs, no real network.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -162,6 +162,54 @@ TEST(HttpCommon, StatusTextKnowsTheServedCodes) {
   EXPECT_STREQ(http_status_text(405), "Method Not Allowed");
   EXPECT_STREQ(http_status_text(413), "Payload Too Large");
   EXPECT_STREQ(http_status_text(500), "Internal Server Error");
+}
+
+/// Send `request` to answer_metrics_scrape and return everything it wrote.
+std::string scrape(const std::string& request) {
+  SocketPair pair;
+  pair.send_all(request);
+  answer_metrics_scrape(pair.server, [] { return std::string("bgpsim_up 1\n"); });
+  close(pair.server);
+  pair.server = -1;
+  return pair.drain_client();
+}
+
+TEST(HttpCommon, ScrapeOfMetricsAnswersTheProviderBody) {
+  for (const char* target : {"/metrics", "/metrics?x=1"}) {
+    const std::string response =
+        scrape(std::string("GET ") + target + " HTTP/1.1\r\n\r\n");
+    EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << target;
+    EXPECT_NE(response.find(
+                  "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"),
+              std::string::npos)
+        << target;
+    EXPECT_NE(response.find("\r\n\r\nbgpsim_up 1\n"), std::string::npos)
+        << target;
+  }
+}
+
+TEST(HttpCommon, ScrapeOfAnythingElseIsNotFound) {
+  for (const char* request : {"GET /metricsx HTTP/1.1\r\n\r\n",
+                              "GET / HTTP/1.1\r\n\r\n",
+                              "POST /metrics HTTP/1.1\r\n\r\n"}) {
+    const std::string response = scrape(request);
+    EXPECT_EQ(response.rfind("HTTP/1.1 404 Not Found\r\n", 0), 0u) << request;
+    EXPECT_NE(response.find("\r\n\r\nnot found\n"), std::string::npos)
+        << request;
+  }
+}
+
+TEST(HttpCommon, ScrapeWithMalformedRequestLineIsBadRequest) {
+  const std::string response = scrape("NOT_EVEN_HTTP\r\n\r\n");
+  EXPECT_EQ(response.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u);
+  EXPECT_NE(response.find("\r\n\r\nmalformed request\n"), std::string::npos);
+}
+
+TEST(HttpCommon, ScrapeWithHeadOver2KiBIsTooLarge) {
+  const std::string response =
+      scrape("GET /metrics HTTP/1.1\r\nX-Pad: " + std::string(2048, 'a'));
+  EXPECT_EQ(response.rfind("HTTP/1.1 413 Payload Too Large\r\n", 0), 0u);
+  EXPECT_NE(response.find("\r\n\r\nrequest too large\n"), std::string::npos);
 }
 
 TEST(HttpCommon, EphemeralListenerBindsLoopback) {

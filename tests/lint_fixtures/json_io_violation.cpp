@@ -1,6 +1,6 @@
 // Deliberate obs-io violation fixture: a JSON-emitting library file opening
 // its own std::ofstream instead of routing output through bgpsim::obs.
-// Pinned by the lint_detects_json_io CTest entry (WILL_FAIL) — never built.
+// Pinned by the lint_detects_json_io CTest entry — never built.
 #include <fstream>
 
 #include "obs/json.hpp"

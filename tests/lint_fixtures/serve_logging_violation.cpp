@@ -2,8 +2,8 @@
 // worker's stdio streams. Under src/serve/ (the filename prefix puts this
 // fixture in the rule's scope) every fprintf/stderr reference must fire —
 // request reporting goes through the access log and metrics registry, never
-// a shared process stream. Pinned by lint_detects_serve_logging (WILL_FAIL)
-// — never built.
+// a shared process stream. Pinned by lint_detects_serve_logging — never
+// built.
 #include <cstdio>
 
 namespace bgpsim::serve {

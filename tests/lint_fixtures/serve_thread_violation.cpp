@@ -1,7 +1,7 @@
 // Deliberate thread-policy violation pinning the src/serve/ exemption's
 // boundary: a query-server-style worker pool is sanctioned *only* under
 // src/serve/ (and the other thread homes) — the same pattern anywhere else
-// must still fire. Pinned by lint_detects_serve_thread (WILL_FAIL) — never
+// must still fire. Pinned by lint_detects_serve_thread — never
 // built.
 #include <thread>
 #include <vector>

@@ -1,7 +1,7 @@
 // Deliberate obs-io violation pinning the src/store/ exemption's boundary:
 // snapshot-style code (binary std::ofstream next to a JsonWriter summary) is
 // sanctioned *only* under src/store/ — the same pattern anywhere else must
-// still fire. Pinned by lint_detects_store_io (WILL_FAIL) — never built.
+// still fire. Pinned by lint_detects_store_io — never built.
 #include <fstream>
 #include <string>
 

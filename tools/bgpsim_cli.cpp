@@ -408,23 +408,26 @@ int cmd_promcheck(const Args& args) {
   return 0;
 }
 
-/// Resolve the --targets option into dense ids: "all", "transit" (default),
-/// or a comma-separated ASN list.
-std::vector<AsId> snapshot_targets(const Scenario& scenario, const Args& args) {
-  const std::string spec = args.text("targets").value_or("transit");
+/// Resolve an AS-set option (--targets, --victims) into dense ids: "all",
+/// "transit" (default), or a comma-separated ASN list.
+std::vector<AsId> as_set_option(const Scenario& scenario, const Args& args,
+                                const std::string& option) {
+  const std::string spec = args.text(option).value_or("transit");
   if (spec == "transit" || spec.empty()) return scenario.transit();
   if (spec == "all") {
     std::vector<AsId> all(scenario.graph().num_ases());
     for (AsId v = 0; v < scenario.graph().num_ases(); ++v) all[v] = v;
     return all;
   }
-  std::vector<AsId> targets;
+  std::vector<AsId> ases;
   for (const std::string_view field : split(spec, ',')) {
     const auto asn = parse_u64(trim(field));
-    if (!asn) throw ConfigError("bad --targets entry: " + std::string(field));
-    targets.push_back(scenario.graph().require(static_cast<Asn>(*asn)));
+    if (!asn) {
+      throw ConfigError("bad --" + option + " entry: " + std::string(field));
+    }
+    ases.push_back(scenario.graph().require(static_cast<Asn>(*asn)));
   }
-  return targets;
+  return ases;
 }
 
 int cmd_snapshot_save(const Args& args) {
@@ -432,7 +435,7 @@ int cmd_snapshot_save(const Args& args) {
   if (!out) throw ConfigError("snapshot save requires --out <file>");
   const Scenario scenario = load_scenario(args);
 
-  const std::vector<AsId> targets = snapshot_targets(scenario, args);
+  const std::vector<AsId> targets = as_set_option(scenario, args, "targets");
   BGPSIM_PROGRESS(targets.size());
   BGPSIM_PROGRESS_PHASE("snapshot.baselines");
 
@@ -548,25 +551,8 @@ int cmd_campaign(const Args& args) {
         std::move(snapshot.baselines));
   } else {
     scenario.emplace(load_scenario(args));
-    std::vector<AsId> victims;
-    {
-      const std::string spec_text = args.text("victims").value_or("transit");
-      if (spec_text == "transit" || spec_text.empty()) {
-        victims = scenario->transit();
-      } else if (spec_text == "all") {
-        victims.resize(scenario->graph().num_ases());
-        for (AsId v = 0; v < scenario->graph().num_ases(); ++v) victims[v] = v;
-      } else {
-        for (const std::string_view field : split(spec_text, ',')) {
-          const auto asn = parse_u64(trim(field));
-          if (!asn) {
-            throw ConfigError("bad --victims entry: " + std::string(field));
-          }
-          victims.push_back(
-              scenario->graph().require(static_cast<Asn>(*asn)));
-        }
-      }
-    }
+    const std::vector<AsId> victims =
+        as_set_option(*scenario, args, "victims");
     BGPSIM_PROGRESS(victims.size());
     BGPSIM_PROGRESS_PHASE("campaign.baselines");
     baselines = std::make_shared<const store::BaselineStore>(

@@ -45,7 +45,8 @@
 //   self-contained   every public header under src/ compiles standalone
 //
 // Files under tests/lint_fixtures/ are linted as library code: they are
-// deliberate violations that pin each rule's behavior in CI (WILL_FAIL).
+// deliberate violations that pin each rule's behavior in CI (each
+// lint_detects_* test requires exit 1 and exactly its rule ids in --json).
 //
 // Output: file:line: rule: message lines on stdout (editors and CI annotate
 // them), plus optional machine-readable reports via --json PATH and
