@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "analysis/vulnerability.hpp"
 #include "bench_common.hpp"
 #include "core/advisor.hpp"
 #include "defense/deployment.hpp"
@@ -17,23 +18,6 @@
 
 using namespace bgpsim;
 using namespace bgpsim::bench;
-
-namespace {
-
-double mean_pollution(HijackSimulator& sim, AsId target,
-                      std::span<const AsId> attackers, const FilterSet* filters) {
-  sim.set_validators(filters != nullptr
-                         ? std::optional<ValidatorSet>(filters->bitset())
-                         : std::nullopt);
-  RunningStats stats;
-  for (const AsId attacker : attackers) {
-    if (attacker == target) continue;
-    stats.add(sim.attack(target, attacker).polluted_ases);
-  }
-  return stats.mean();
-}
-
-}  // namespace
 
 int main() {
   BenchEnv env = make_env(
@@ -59,7 +43,7 @@ int main() {
   const std::vector<AsId> eval(shuffled.begin() + half,
                                shuffled.begin() + 2 * half);
 
-  HijackSimulator sim = scenario.make_simulator();
+  VulnerabilityAnalyzer analyzer(g, scenario.sim_config());
   SelfInterestAdvisor advisor(scenario);
 
   // 4 filter budgets x eval sweep; the greedy training attacks on top are
@@ -72,7 +56,7 @@ int main() {
     const auto heuristic = top_k_deployment(g, budget);
     const FilterSet heuristic_filters = to_filter_set(g, heuristic);
     const double heuristic_score =
-        mean_pollution(sim, target, eval, &heuristic_filters);
+        analyzer.sweep(target, eval, &heuristic_filters).stats.mean();
 
     // Greedy candidates: the victim's upstream region + the global core.
     std::vector<AsId> candidates = top_k_by_degree(g, 24);
@@ -82,10 +66,11 @@ int main() {
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
-    const auto picked = advisor.greedy_filters(target, train, candidates, budget);
-    FilterSet greedy_filters(g.num_ases());
-    for (const AsId f : picked) greedy_filters.add(f);
-    const double greedy_score = mean_pollution(sim, target, eval, &greedy_filters);
+    const FilterSet greedy_filters(
+        g.num_ases(),
+        advisor.greedy_filters(target, train, candidates, budget).filters);
+    const double greedy_score =
+        analyzer.sweep(target, eval, &greedy_filters).stats.mean();
 
     std::printf("  %8zu %16.1f %16.1f%s\n", budget, heuristic_score, greedy_score,
                 greedy_score <= heuristic_score ? "  <- greedy wins" : "");
@@ -96,11 +81,12 @@ int main() {
   std::printf("\n--- probe placement (attacks on the victim missed) ---\n");
   std::printf("  %8s %16s %16s\n", "budget", "top-degree", "greedy");
   for (const std::size_t budget : {1u, 2u, 4u}) {
-    const auto greedy_probes = advisor.greedy_probes(target, train, budget);
-    const ProbeSet greedy_set("greedy", greedy_probes);
+    const ProbeSet greedy_set(
+        "greedy", advisor.greedy_probes(target, train, nullptr, budget).probes);
     const ProbeSet heuristic_set = ProbeSet::top_k(g, budget);
 
     std::uint32_t greedy_missed = 0, heuristic_missed = 0, harmful = 0;
+    HijackSimulator& sim = analyzer.simulator();
     sim.set_validators(std::nullopt);
     for (const AsId attacker : eval) {
       if (attacker == target) continue;

@@ -70,19 +70,14 @@ int main() {
     return 100.0 * impact.mean_fraction();
   };
 
-  // Experiment 1: re-home up two levels.
-  const AsGraph rehomed = rehome_up(g, g.asn(target), scenario.depth(), 2);
-  const auto new_tiers =
-      classify_tiers(rehomed, scenario.scaled_degree(120));
-  SimConfig rehomed_cfg = scenario.sim_config();
-  rehomed_cfg.policy.is_tier1.assign(new_tiers.is_tier1.begin(),
-                                     new_tiers.is_tier1.end());
-  RegionalAnalyzer rehomed_analyzer(rehomed, rehomed_cfg);
-  const AsId new_target = rehomed.require(g.asn(target));
-  const auto rehomed_regional = rehomed_analyzer.attacks_from_region(new_target);
+  // Experiment 1: re-home up two levels (AS ids are unchanged).
+  const Scenario rehomed = Scenario::from_graph(
+      rehome_up(g, g.asn(target), scenario.depth(), 2), scenario.params());
+  RegionalAnalyzer rehomed_analyzer(rehomed.graph(), rehomed.sim_config());
+  const auto rehomed_regional = rehomed_analyzer.attacks_from_region(target);
   Rng ext_rng2(derive_seed(env.seed, 71));  // same external sample
   const auto rehomed_external =
-      rehomed_analyzer.attacks_from_outside(new_target, 200, ext_rng2);
+      rehomed_analyzer.attacks_from_outside(target, 200, ext_rng2);
 
   // Experiment 2 (independent of exp 1): one strategic filter on the
   // original graph — greedily chosen among the region's transits.
@@ -94,14 +89,11 @@ int main() {
   for (const AsId t : scenario.transit()) {
     if (g.region(t) == best_region) candidates.push_back(t);
   }
-  const auto filter_choice = advisor.greedy_filters(
-      target,
-      std::vector<AsId>(attackers.begin(),
-                        attackers.begin() +
-                            std::min<std::size_t>(attackers.size(), 80)),
-      candidates, 1);
-  FilterSet single_filter(g.num_ases());
-  for (const AsId f : filter_choice) single_filter.add(f);
+  const auto train = std::span<const AsId>(attackers).first(
+      std::min<std::size_t>(attackers.size(), 80));
+  const auto filter_choice =
+      advisor.greedy_filters(target, train, candidates, 1).filters;
+  const FilterSet single_filter(g.num_ases(), filter_choice);
   const auto filtered_regional = analyzer.attacks_from_region(target, &single_filter);
   Rng ext_rng3(derive_seed(env.seed, 71));
   const auto filtered_external =

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   std::printf("\nplaybook results (mean regional ASes compromised per attack):\n");
   for (const auto& step : report.steps) {
     std::printf("  %-56s %8.1f (%5.1f%%)\n", step.action.c_str(),
-                step.regional_damage, 100.0 * step.regional_fraction);
+                step.mean_compromised, 100.0 * step.mean_fraction);
   }
   std::printf("\nrecommended filter placements:");
   for (const Asn asn : report.recommended_filters) std::printf(" AS%u", asn);

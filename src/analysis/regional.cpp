@@ -13,8 +13,10 @@ namespace bgpsim {
 RegionalAnalyzer::RegionalAnalyzer(const AsGraph& graph, SimConfig config)
     : graph_(graph), simulator_(graph, std::move(config)) {}
 
-RegionalImpact RegionalAnalyzer::run(AsId target, std::span<const AsId> attackers,
-                                     const FilterSet* filters) {
+RegionalImpact RegionalAnalyzer::attacks_from(AsId target,
+                                              std::span<const AsId> attackers,
+                                              const FilterSet* filters) {
+  BGPSIM_REQUIRE(target < graph_.num_ases(), "target out of range");
   BGPSIM_PROGRESS_PHASE("regional.impact");
   const std::uint16_t region = graph_.region(target);
   RegionalImpact impact;
@@ -46,7 +48,7 @@ RegionalImpact RegionalAnalyzer::attacks_from_region(AsId target,
                                                      const FilterSet* filters) {
   BGPSIM_REQUIRE(target < graph_.num_ases(), "target out of range");
   const auto attackers = graph_.ases_in_region(graph_.region(target));
-  return run(target, attackers, filters);
+  return attacks_from(target, attackers, filters);
 }
 
 RegionalImpact RegionalAnalyzer::attacks_from_outside(AsId target,
@@ -62,7 +64,7 @@ RegionalImpact RegionalAnalyzer::attacks_from_outside(AsId target,
   BGPSIM_REQUIRE(!outside.empty(), "no ASes outside the target's region");
   const auto attackers = rng.sample_without_replacement(
       outside, std::min<std::size_t>(count, outside.size()));
-  return run(target, attackers, filters);
+  return attacks_from(target, attackers, filters);
 }
 
 AsGraph rehome_up(const AsGraph& graph, Asn asn,

@@ -39,12 +39,15 @@ class RegionalAnalyzer {
   RegionalImpact attacks_from_outside(AsId target, std::uint32_t count, Rng& rng,
                                       const FilterSet* filters = nullptr);
 
+  /// Attack `target` from every AS in `attackers` (the target is skipped)
+  /// and count the polluted ASes of its region. The two sweeps above and
+  /// SelfInterestAdvisor's sampled evaluations all run through this loop.
+  RegionalImpact attacks_from(AsId target, std::span<const AsId> attackers,
+                              const FilterSet* filters = nullptr);
+
   const AsGraph& graph() const { return graph_; }
 
  private:
-  RegionalImpact run(AsId target, std::span<const AsId> attackers,
-                     const FilterSet* filters);
-
   const AsGraph& graph_;
   HijackSimulator simulator_;
 };

@@ -2,126 +2,76 @@
 
 #include <algorithm>
 
-#include "defense/deployment.hpp"
-#include "detect/detector.hpp"
 #include "support/assert.hpp"
 
 namespace bgpsim {
 
-namespace {
-
-/// Self-contained simulation context for a (possibly re-homed) graph.
-struct LocalContext {
-  AsGraph graph;
-  TierClassification tiers;
-  std::vector<std::uint16_t> depth;
-  SimConfig config;
-
-  LocalContext(AsGraph g, const Scenario& base) : graph(std::move(g)) {
-    const std::uint32_t tier2_min_degree =
-        base.scaled_degree(120);  // same classification rule as Scenario
-    tiers = classify_tiers(graph, tier2_min_degree);
-    depth = compute_depth(graph, tiers, /*include_tier2=*/true);
-    config = base.sim_config();
-    config.policy.is_tier1.assign(tiers.is_tier1.begin(), tiers.is_tier1.end());
-  }
-};
-
-/// Mean regional pollution over an explicit (possibly sampled) attacker list
-/// (RegionalAnalyzer::attacks_from_region would sweep the whole region).
-double regional_damage(const LocalContext& ctx, AsId target,
-                       std::span<const AsId> attackers, const FilterSet* filters) {
-  HijackSimulator sim(ctx.graph, ctx.config);
-  sim.set_validators(filters != nullptr
-                         ? std::optional<ValidatorSet>(filters->bitset())
-                         : std::nullopt);
-  const std::uint16_t region = ctx.graph.region(target);
-  RunningStats damage;
-  for (const AsId attacker : attackers) {
-    if (attacker == target) continue;
-    sim.attack(target, attacker);
-    const RouteTable& routes = sim.routes();
-    std::uint32_t compromised = 0;
-    for (AsId v = 0; v < ctx.graph.num_ases(); ++v) {
-      if (ctx.graph.region(v) != region || v == target || v == attacker) continue;
-      if (routes.routes[v].origin == Origin::Attacker) ++compromised;
-    }
-    damage.add(compromised);
-  }
-  return damage.mean();
-}
-
-}  // namespace
-
 SelfInterestAdvisor::SelfInterestAdvisor(const Scenario& scenario)
     : scenario_(scenario) {}
 
-std::vector<AsId> SelfInterestAdvisor::greedy_filters(
+FilterPlacement SelfInterestAdvisor::greedy_filters(
     AsId target, std::span<const AsId> attackers, std::span<const AsId> candidates,
     std::size_t k) {
-  LocalContext ctx(scenario_.graph(), scenario_);
-  FilterSet chosen(ctx.graph.num_ases());
-  std::vector<AsId> picked;
+  RegionalAnalyzer analyzer(scenario_.graph(), scenario_.sim_config());
+  FilterSet chosen(scenario_.graph().num_ases());
+  FilterPlacement placement;
+  placement.mean_compromised =
+      analyzer.attacks_from(target, attackers).compromised.mean();
   std::vector<AsId> pool(candidates.begin(), candidates.end());
-
-  double current = regional_damage(ctx, target, attackers, &chosen);
   for (std::size_t round = 0; round < k && !pool.empty(); ++round) {
-    double best_damage = current;
+    double best_damage = placement.mean_compromised;
     std::size_t best_idx = pool.size();
     for (std::size_t i = 0; i < pool.size(); ++i) {
       FilterSet trial = chosen;
       trial.add(pool[i]);
-      const double damage = regional_damage(ctx, target, attackers, &trial);
-      if (damage < best_damage ||
-          (best_idx == pool.size() && damage < current)) {
+      const double damage =
+          analyzer.attacks_from(target, attackers, &trial).compromised.mean();
+      if (damage < best_damage) {
         best_damage = damage;
         best_idx = i;
       }
     }
-    if (best_idx == pool.size() || best_damage >= current) break;  // no gain
+    if (best_idx == pool.size()) break;  // no gain
     chosen.add(pool[best_idx]);
-    picked.push_back(pool[best_idx]);
+    placement.filters.push_back(pool[best_idx]);
     pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(best_idx));
-    current = best_damage;
+    placement.mean_compromised = best_damage;
   }
-  return picked;
+  return placement;
 }
 
-std::vector<AsId> SelfInterestAdvisor::greedy_probes(
-    AsId target, std::span<const AsId> attackers, std::size_t k) {
-  const AsGraph& graph = scenario_.graph();
+ProbePlacement SelfInterestAdvisor::greedy_probes(AsId target,
+                                                  std::span<const AsId> attackers,
+                                                  const FilterSet* filters,
+                                                  std::size_t k) {
   HijackSimulator sim = scenario_.make_simulator();
+  sim.set_validators(filters != nullptr
+                         ? std::optional<ValidatorSet>(filters->bitset())
+                         : std::nullopt);
 
   // Detection matrix: per candidate probe, a bitmask over sampled attacks.
-  const std::size_t n_attacks = attackers.size();
-  const std::size_t words = (n_attacks + 63) / 64;
-  const auto candidates = transit_ases(graph);
+  const std::vector<AsId>& candidates = scenario_.transit();
+  const std::size_t words = (attackers.size() + 63) / 64;
   std::vector<std::vector<std::uint64_t>> covers(
       candidates.size(), std::vector<std::uint64_t>(words, 0));
-  std::vector<std::size_t> candidate_index(graph.num_ases(), candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    candidate_index[candidates[i]] = i;
-  }
-
-  std::size_t attack_no = 0;
-  for (const AsId attacker : attackers) {
-    if (attacker == target) {
-      ++attack_no;
-      continue;
-    }
-    sim.attack(target, attacker);
+  std::uint32_t harmful = 0;
+  for (std::size_t a = 0; a < attackers.size(); ++a) {
+    if (attackers[a] == target) continue;
+    sim.attack(target, attackers[a]);
     const RouteTable& routes = sim.routes();
-    for (const AsId c : candidates) {
-      if (routes.routes[c].origin == Origin::Attacker) {
-        covers[candidate_index[c]][attack_no / 64] |= 1ULL << (attack_no % 64);
+    bool polluted_any = false;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      if (routes.routes[candidates[i]].origin == Origin::Attacker) {
+        covers[i][a / 64] |= 1ULL << (a % 64);
+        polluted_any = true;
       }
     }
-    ++attack_no;
+    harmful += polluted_any;
   }
 
   // Greedy max-coverage.
   std::vector<std::uint64_t> covered(words, 0);
-  std::vector<AsId> picked;
+  ProbePlacement placement;
   for (std::size_t round = 0; round < k; ++round) {
     std::size_t best_gain = 0;
     std::size_t best_idx = candidates.size();
@@ -136,11 +86,18 @@ std::vector<AsId> SelfInterestAdvisor::greedy_probes(
         best_idx = i;
       }
     }
-    if (best_idx == candidates.size() || best_gain == 0) break;
+    if (best_idx == candidates.size()) break;
     for (std::size_t w = 0; w < words; ++w) covered[w] |= covers[best_idx][w];
-    picked.push_back(candidates[best_idx]);
+    placement.probes.push_back(candidates[best_idx]);
   }
-  return picked;
+
+  std::uint32_t detected = 0;
+  for (const std::uint64_t word : covered) {
+    detected += static_cast<std::uint32_t>(__builtin_popcountll(word));
+  }
+  placement.miss_rate =
+      harmful == 0 ? 0.0 : static_cast<double>(harmful - detected) / harmful;
+  return placement;
 }
 
 AdvisorReport SelfInterestAdvisor::advise(AsId target, const AdvisorBudget& budget,
@@ -153,7 +110,6 @@ AdvisorReport SelfInterestAdvisor::advise(AsId target, const AdvisorBudget& budg
   report.target_asn = graph.asn(target);
   report.region = graph.region(target);
   report.depth_before = scenario_.depth()[target];
-  report.depth_after = report.depth_before;
 
   // Attacker sample: the target's whole region (capped), the §VII workload.
   std::vector<AsId> attackers = graph.ases_in_region(report.region);
@@ -163,135 +119,69 @@ AdvisorReport SelfInterestAdvisor::advise(AsId target, const AdvisorBudget& budg
   if (attackers.size() > budget.attack_sample) {
     attackers = rng.sample_without_replacement(attackers, budget.attack_sample);
   }
+  const auto add_step = [&report](std::string action, double damage) {
+    report.steps.push_back(
+        {std::move(action), damage,
+         report.region_size ? damage / report.region_size : 0.0});
+  };
 
   // Step 0: baseline.
-  LocalContext base_ctx(graph, scenario_);
-  const double base_damage = regional_damage(base_ctx, target, attackers, nullptr);
-  report.steps.push_back(
-      {"baseline (no action)", base_damage,
-       report.region_size ? base_damage / report.region_size : 0.0});
+  add_step("baseline (no action)",
+           RegionalAnalyzer(graph, scenario_.sim_config())
+               .attacks_from(target, attackers)
+               .compromised.mean());
 
-  // Step 1: re-home upward to reduce depth.
-  AsGraph working = graph;
-  if (budget.rehome_levels > 0 && report.depth_before > 1) {
-    working = rehome_up(graph, graph.asn(target), scenario_.depth(),
-                        budget.rehome_levels);
-  }
-  LocalContext ctx(working, scenario_);
-  report.depth_after = ctx.depth[ctx.graph.require(report.target_asn)];
-  const AsId new_target = ctx.graph.require(report.target_asn);
-  // Re-map attacker ids into the re-homed graph (ASNs are stable).
-  std::vector<AsId> mapped;
-  mapped.reserve(attackers.size());
-  for (const AsId a : attackers) mapped.push_back(ctx.graph.require(graph.asn(a)));
+  // Step 1: re-home upward to reduce depth. rehome_up keeps every AS id and
+  // from_graph copies the sibling-free result unchanged, so `target` and
+  // `attackers` address the same ASes in the re-homed scenario.
+  const Scenario rehomed = Scenario::from_graph(
+      budget.rehome_levels > 0 && report.depth_before > 1
+          ? rehome_up(graph, report.target_asn, scenario_.depth(),
+                      budget.rehome_levels)
+          : graph,
+      scenario_.params());
+  const AsGraph& rehomed_graph = rehomed.graph();
+  BGPSIM_ASSERT(rehomed_graph.asn(target) == report.target_asn,
+                "re-homing renumbered the target");
+  report.depth_after = rehomed.depth()[target];
+  add_step("re-home " + std::to_string(budget.rehome_levels) + " levels up (depth " +
+               std::to_string(report.depth_before) + " -> " +
+               std::to_string(report.depth_after) + ")",
+           RegionalAnalyzer(rehomed_graph, rehomed.sim_config())
+               .attacks_from(target, attackers)
+               .compromised.mean());
 
-  const double rehomed = regional_damage(ctx, new_target, mapped, nullptr);
-  report.steps.push_back(
-      {"re-home " + std::to_string(budget.rehome_levels) + " levels up (depth " +
-           std::to_string(report.depth_before) + " -> " +
-           std::to_string(report.depth_after) + ")",
-       rehomed, report.region_size ? rehomed / report.region_size : 0.0});
-
-  // Steps 2-4: publish origins + greedy strategic filters (on the re-homed graph).
+  // Steps 2-4: publish origins + greedy strategic filters among the region's
+  // transits and the target's new providers.
   std::vector<AsId> candidates;
-  for (const AsId t : transit_ases(ctx.graph)) {
-    if (ctx.graph.region(t) == report.region) candidates.push_back(t);
+  for (const AsId t : rehomed.transit()) {
+    if (rehomed_graph.region(t) == report.region) candidates.push_back(t);
   }
-  for (const auto& nbr : ctx.graph.neighbors(new_target)) {
+  for (const auto& nbr : rehomed_graph.neighbors(target)) {
     if (nbr.rel == Rel::Provider) candidates.push_back(nbr.id);
   }
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-
-  FilterSet filters(ctx.graph.num_ases());
-  {
-    std::vector<AsId> picked;
-    double current = rehomed;
-    std::vector<AsId> pool = candidates;
-    for (std::uint32_t round = 0; round < budget.max_filters && !pool.empty();
-         ++round) {
-      double best_damage = current;
-      std::size_t best_idx = pool.size();
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        FilterSet trial = filters;
-        trial.add(pool[i]);
-        const double damage = regional_damage(ctx, new_target, mapped, &trial);
-        if (damage < best_damage) {
-          best_damage = damage;
-          best_idx = i;
-        }
-      }
-      if (best_idx == pool.size()) break;
-      filters.add(pool[best_idx]);
-      picked.push_back(pool[best_idx]);
-      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(best_idx));
-      current = best_damage;
-    }
-    for (const AsId f : picked) report.recommended_filters.push_back(ctx.graph.asn(f));
-    report.steps.push_back(
-        {"publish origins + filter at " + std::to_string(picked.size()) +
-             " strategic ASes",
-         current, report.region_size ? current / report.region_size : 0.0});
+  SelfInterestAdvisor rehomed_advisor(rehomed);
+  const FilterPlacement filters = rehomed_advisor.greedy_filters(
+      target, attackers, candidates, budget.max_filters);
+  for (const AsId f : filters.filters) {
+    report.recommended_filters.push_back(rehomed_graph.asn(f));
   }
+  add_step("publish origins + filter at " + std::to_string(filters.filters.size()) +
+               " strategic ASes",
+           filters.mean_compromised);
 
-  // Step 5: detection with greedy probe placement, accounting blind spots.
-  {
-    HijackSimulator sim(ctx.graph, ctx.config);
-    sim.set_validators(std::optional<ValidatorSet>(filters.bitset()));
-    const auto probe_candidates = transit_ases(ctx.graph);
-    std::vector<std::uint8_t> detected(mapped.size(), 0);
-    std::vector<std::vector<std::uint32_t>> polluted_probes(mapped.size());
-    for (std::size_t i = 0; i < mapped.size(); ++i) {
-      if (mapped[i] == new_target) continue;
-      sim.attack(new_target, mapped[i]);
-      const RouteTable& routes = sim.routes();
-      for (const AsId c : probe_candidates) {
-        if (routes.routes[c].origin == Origin::Attacker) {
-          polluted_probes[i].push_back(c);
-        }
-      }
-    }
-    // Greedy max coverage over attacks that polluted anyone at all.
-    std::vector<AsId> probes;
-    for (std::uint32_t round = 0; round < budget.max_probes; ++round) {
-      std::size_t best_gain = 0;
-      AsId best_probe = kInvalidAs;
-      for (const AsId c : probe_candidates) {
-        std::size_t gain = 0;
-        for (std::size_t i = 0; i < mapped.size(); ++i) {
-          if (detected[i]) continue;
-          if (std::find(polluted_probes[i].begin(), polluted_probes[i].end(), c) !=
-              polluted_probes[i].end()) {
-            ++gain;
-          }
-        }
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_probe = c;
-        }
-      }
-      if (best_probe == kInvalidAs) break;
-      probes.push_back(best_probe);
-      for (std::size_t i = 0; i < mapped.size(); ++i) {
-        if (!detected[i] &&
-            std::find(polluted_probes[i].begin(), polluted_probes[i].end(),
-                      best_probe) != polluted_probes[i].end()) {
-          detected[i] = 1;
-        }
-      }
-    }
-    std::uint32_t harmful = 0, missed = 0;
-    for (std::size_t i = 0; i < mapped.size(); ++i) {
-      if (polluted_probes[i].empty()) continue;  // attack polluted nobody
-      ++harmful;
-      if (!detected[i]) ++missed;
-    }
-    report.detection_miss_rate =
-        harmful == 0 ? 0.0 : static_cast<double>(missed) / harmful;
-    for (const AsId p : probes) report.recommended_probes.push_back(ctx.graph.asn(p));
+  // Step 5: detection with greedy probe placement behind those filters,
+  // accounting blind spots.
+  const FilterSet deployed(rehomed_graph.num_ases(), filters.filters);
+  const ProbePlacement probes = rehomed_advisor.greedy_probes(
+      target, attackers, &deployed, budget.max_probes);
+  for (const AsId p : probes.probes) {
+    report.recommended_probes.push_back(rehomed_graph.asn(p));
   }
-
+  report.detection_miss_rate = probes.miss_rate;
   return report;
 }
 

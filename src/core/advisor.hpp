@@ -8,17 +8,19 @@
 //   5. use detection and check it for blind spots.
 //
 // SelfInterestAdvisor quantifies each step for a concrete target: it
-// simulates the baseline, evaluates a re-homing transform, greedily places a
-// filter/probe budget, and reports the measured improvement of every step.
+// measures the baseline with RegionalAnalyzer, re-homes the target into a new
+// Scenario built with the same params, runs that scenario's greedy_filters and
+// greedy_probes on the budget, and reports the measured improvement of every
+// step.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/regional.hpp"
 #include "core/scenario.hpp"
-#include "detect/probe_set.hpp"
 
 namespace bgpsim {
 
@@ -31,8 +33,8 @@ struct AdvisorBudget {
 
 struct AdvisorStep {
   std::string action;       ///< human-readable recommendation
-  double regional_damage;   ///< mean compromised ASes in the target's region
-  double regional_fraction; ///< same, as a fraction of the region
+  double mean_compromised;  ///< mean compromised ASes in the target's region
+  double mean_fraction;     ///< same, as a fraction of the region
 };
 
 struct AdvisorReport {
@@ -55,6 +57,21 @@ struct AdvisorReport {
   double detection_miss_rate = 1.0;
 };
 
+/// Filters picked by greedy_filters, in pick order, and the mean compromised
+/// regional ASes per attack they leave (the unfiltered mean when no candidate
+/// helps).
+struct FilterPlacement {
+  std::vector<AsId> filters;
+  double mean_compromised = 0.0;
+};
+
+/// Probes picked by greedy_probes, in pick order, and the share of harmful
+/// sampled attacks (those polluting some transit AS) that none of them sees.
+struct ProbePlacement {
+  std::vector<AsId> probes;
+  double miss_rate = 0.0;
+};
+
 class SelfInterestAdvisor {
  public:
   explicit SelfInterestAdvisor(const Scenario& scenario);
@@ -62,16 +79,17 @@ class SelfInterestAdvisor {
   /// Run the full playbook for one target AS.
   AdvisorReport advise(AsId target, const AdvisorBudget& budget, Rng& rng);
 
-  /// Greedy filter placement: choose up to `k` transit ASes whose origin
+  /// Greedy filter placement: choose up to `k` of `candidates` whose origin
   /// validation most reduces mean regional pollution of `target` under the
-  /// sampled attacker set.
-  std::vector<AsId> greedy_filters(AsId target, std::span<const AsId> attackers,
-                                   std::span<const AsId> candidates, std::size_t k);
+  /// sampled attacker set; stops early when no candidate lowers it.
+  FilterPlacement greedy_filters(AsId target, std::span<const AsId> attackers,
+                                 std::span<const AsId> candidates, std::size_t k);
 
-  /// Greedy probe placement: choose up to `k` probe ASes maximizing the
-  /// number of sampled attacks detected (attacks on `target`).
-  std::vector<AsId> greedy_probes(AsId target, std::span<const AsId> attackers,
-                                  std::size_t k);
+  /// Greedy probe placement: choose up to `k` transit ASes maximizing the
+  /// number of sampled attacks on `target` detected while `filters` (null:
+  /// none) validate origins.
+  ProbePlacement greedy_probes(AsId target, std::span<const AsId> attackers,
+                               const FilterSet* filters, std::size_t k);
 
  private:
   const Scenario& scenario_;

@@ -35,16 +35,17 @@ Scenario Scenario::from_snapshot(const store::Snapshot& snapshot,
 }
 
 store::SnapshotParams Scenario::snapshot_params() const {
-  return snapshot_params_;
+  store::SnapshotParams snapshot;
+  snapshot.tier2_min_degree_full_scale = params_.tier2_min_degree_full_scale;
+  snapshot.tier1_shortest_path = params_.tier1_shortest_path;
+  snapshot.stub_first_hop_filter = params_.stub_first_hop_filter;
+  snapshot.seed = params_.topology.seed;
+  snapshot.scale = params_.topology.total_ases;
+  return snapshot;
 }
 
 Scenario::Scenario(AsGraph graph, const ScenarioParams& params)
-    : graph_(std::move(graph)) {
-  snapshot_params_.tier2_min_degree_full_scale = params.tier2_min_degree_full_scale;
-  snapshot_params_.tier1_shortest_path = params.tier1_shortest_path;
-  snapshot_params_.stub_first_hop_filter = params.stub_first_hop_filter;
-  snapshot_params_.seed = params.topology.seed;
-  snapshot_params_.scale = params.topology.total_ases;
+    : params_(params), graph_(std::move(graph)) {
   const std::uint32_t tier2_min_degree = scale_degree_threshold(
       graph_.num_ases(), params.tier2_min_degree_full_scale);
   tiers_ = classify_tiers(graph_, tier2_min_degree);

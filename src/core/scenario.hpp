@@ -55,8 +55,13 @@ class Scenario {
   static Scenario from_snapshot(const store::Snapshot& snapshot,
                                 EngineKind engine = EngineKind::Equilibrium);
 
-  /// The scenario's policy/topology knobs in snapshot form (what
-  /// `bgpsim snapshot save` writes next to the graph).
+  /// The params this scenario was built from. Re-wrapping a transformed
+  /// graph with them (`from_graph(rehome_up(...), params())`) classifies
+  /// tiers and depth by the same rules.
+  const ScenarioParams& params() const { return params_; }
+
+  /// params() in snapshot form (what `bgpsim snapshot save` writes next to
+  /// the graph).
   store::SnapshotParams snapshot_params() const;
 
   const AsGraph& graph() const { return graph_; }
@@ -86,7 +91,7 @@ class Scenario {
  private:
   Scenario(AsGraph graph, const ScenarioParams& params);
 
-  store::SnapshotParams snapshot_params_;
+  ScenarioParams params_;
   AsGraph graph_;
   TierClassification tiers_;
   std::vector<std::uint16_t> depth_;

@@ -194,6 +194,10 @@ double HistogramSnapshot::approx_quantile(double q) const {
   return max;
 }
 
+namespace {
+
+/// Emit one histogram as a JSON object: moments, p50/p90/p99, bucket bounds
+/// and counts (the schema bgpsim-perfdiff parses).
 void write_histogram_json(JsonWriter& json, const HistogramSnapshot& hist) {
   json.begin_object();
   json.field("count", hist.count);
@@ -218,6 +222,8 @@ void write_histogram_json(JsonWriter& json, const HistogramSnapshot& hist) {
                                              : hist.counts.back());
   json.end_object();
 }
+
+}  // namespace
 
 std::string RegistrySnapshot::to_json() const {
   JsonWriter json;

@@ -16,7 +16,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace bgpsim::obs {
@@ -108,11 +107,6 @@ struct HistogramSnapshot {
   /// summaries on the doubling latency_spec() buckets.
   double approx_quantile(double q) const;
 };
-
-/// Emit one histogram as a JSON object: moments, p50/p90/p99, bucket bounds
-/// and counts. Shared by registry snapshots and run reports so both emit the
-/// same schema (bgpsim-perfdiff parses either).
-void write_histogram_json(JsonWriter& json, const HistogramSnapshot& hist);
 
 /// Point-in-time copy of the whole registry.
 struct RegistrySnapshot {

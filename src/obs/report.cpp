@@ -17,8 +17,6 @@ const char* git_rev() {
 }
 
 std::string RunReport::to_json() const {
-  const RegistrySnapshot snap = registry().snapshot();
-
   JsonWriter json;
   json.begin_object();
   json.field("name", name_);
@@ -52,23 +50,7 @@ std::string RunReport::to_json() const {
   }
   json.end_array();
   json.key("metrics");
-  json.begin_object();
-  json.key("counters");
-  json.begin_object();
-  for (const auto& [name, value] : snap.counters) json.field(name, value);
-  json.end_object();
-  json.key("gauges");
-  json.begin_object();
-  for (const auto& [name, value] : snap.gauges) json.field(name, value);
-  json.end_object();
-  json.key("histograms");
-  json.begin_object();
-  for (const auto& [name, hist] : snap.histograms) {
-    json.key(name);
-    write_histogram_json(json, hist);
-  }
-  json.end_object();
-  json.end_object();
+  json.raw(registry().to_json());
   json.end_object();
   return std::move(json).str();
 }

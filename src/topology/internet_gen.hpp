@@ -47,10 +47,6 @@ struct InternetGenParams {
   std::uint32_t chain_max_len = 6;
 
   double sibling_pair_fraction = 0.0;  ///< fraction of transits paired as siblings
-
-  /// Degree threshold used when classifying tier-2s for the depth metric.
-  /// Scaled internally with total_ases relative to the paper's full scale.
-  std::uint32_t tier2_min_degree_full_scale = 120;
 };
 
 /// Generate a synthetic Internet. Throws ConfigError for degenerate

@@ -250,6 +250,9 @@ TEST(RunReportTest, WritesReportWithMetricsSnapshot) {
   EXPECT_NE(text.find("\"git_rev\""), std::string::npos);
   EXPECT_NE(text.find("\"polluted ASes\""), std::string::npos);
   EXPECT_NE(text.find("\"test.report.counter\":9"), std::string::npos);
+  // The metrics block is the registry's own encoding, spliced verbatim.
+  EXPECT_NE(text.find("\"metrics\":" + registry().to_json() + "}\n"),
+            std::string::npos);
 }
 
 #ifndef BGPSIM_OBS_DISABLED

@@ -383,13 +383,23 @@ bool has_identifier(const std::string& line, const std::string& token) {
   return false;
 }
 
+/// True when `line` calls the free function `name`, unqualified or with a
+/// `std::`, `::std::` or global `::` qualifier. Member calls (`.name(`,
+/// `->name(`) and other namespaces' functions (`obs::name(`) do not count.
 bool has_call(const std::string& line, const std::string& name) {
+  const auto qualified_by = [&line](std::size_t at, std::string_view q) {
+    return at >= q.size() && line.compare(at - q.size(), q.size(), q) == 0;
+  };
   std::size_t pos = 0;
   while ((pos = line.find(name, pos)) != std::string::npos) {
+    std::size_t start = pos;
+    if (qualified_by(start, "std::")) start -= 5;
+    if (qualified_by(start, "::")) start -= 2;
     const bool left_ok =
-        pos == 0 || (!std::isalnum(static_cast<unsigned char>(line[pos - 1])) &&
-                     line[pos - 1] != '_' && line[pos - 1] != ':' &&
-                     line[pos - 1] != '.' && line[pos - 1] != '>');
+        start == 0 ||
+        (!std::isalnum(static_cast<unsigned char>(line[start - 1])) &&
+         line[start - 1] != '_' && line[start - 1] != ':' &&
+         line[start - 1] != '.' && line[start - 1] != '>');
     std::size_t end = pos + name.size();
     while (end < line.size() && std::isspace(static_cast<unsigned char>(line[end]))) {
       ++end;
