@@ -19,9 +19,9 @@ namespace bgpsim::campaign {
 
 namespace {
 
-/// Mutable per-stratum campaign state. Touched by exactly one worker per
-/// round (parallel_chunks hands each worker a disjoint stratum range) and
-/// only read between rounds, after the join — no locking needed.
+/// Mutable per-stratum campaign state. Workers only read it (to map a round
+/// item to its sample); the driver thread writes it between rounds, when it
+/// folds the round's outcomes after the join — no locking needed.
 struct StratumRun {
   const Stratum* stratum = nullptr;
   std::uint32_t index = 0;       ///< stratum index (RNG stream id)
@@ -29,8 +29,18 @@ struct StratumRun {
   std::uint64_t round_quota = 0; ///< samples added per round
   std::uint64_t next = 0;        ///< first unprocessed sample index
   StratumEstimator est;
-  std::unique_ptr<HijackSimulator> sim;
 };
+
+/// What one sample leaves for the fold: the arguments of
+/// StratumEstimator::add_sample, in 24 bytes.
+struct SampleOutcome {
+  std::uint64_t reservoir_word = 0;
+  std::uint32_t polluted = 0;
+  std::uint32_t first_gen = 0;
+  bool warm = false;
+  bool detected = false;
+};
+static_assert(sizeof(SampleOutcome) <= 24, "keep the round buffer compact");
 
 struct Pooled {
   double mean = 0.0;
@@ -121,6 +131,7 @@ CampaignResult run_campaign(const Scenario& scenario,
   }
 
   std::vector<StratumRun> runs(strata.size());
+  std::uint64_t round_capacity = 0;  // Σ round quotas: the largest round
   for (std::size_t s = 0; s < strata.size(); ++s) {
     StratumRun& run = runs[s];
     run.stratum = &strata[s];
@@ -129,9 +140,18 @@ CampaignResult run_campaign(const Scenario& scenario,
     run.round_quota = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(std::llround(
                strata[s].weight * static_cast<double>(batch))));
-    run.sim = std::make_unique<HijackSimulator>(graph, scenario.sim_config());
-    run.sim->attach_baseline(baselines);
-    if (validators) run.sim->set_validators(*validators);
+    round_capacity += run.round_quota;
+  }
+
+  // One simulator per worker for the whole campaign. A warm attack starts
+  // from a copy of the victim's baseline, so which simulator runs a sample
+  // never changes its outcome.
+  std::vector<std::unique_ptr<HijackSimulator>> sims(
+      std::min<std::uint64_t>(std::max(1u, spec.workers), round_capacity));
+  for (std::unique_ptr<HijackSimulator>& sim : sims) {
+    sim = std::make_unique<HijackSimulator>(graph, scenario.sim_config());
+    sim->attach_baseline(baselines);
+    if (validators) sim->set_validators(*validators);
   }
 
   BGPSIM_PROGRESS(spec.sample_budget);
@@ -146,45 +166,71 @@ CampaignResult run_campaign(const Scenario& scenario,
   result.deployment_top = spec.deployment_top;
   result.probes = spec.probes;
 
+  // A round's items: stratum s owns [offsets[s], offsets[s + 1]), its
+  // samples next, next + 1, ... in index order. Workers pull items from one
+  // cursor and write each outcome into its own slot; after the join the
+  // driver folds the slots into the estimators in item order, so every
+  // stratum's estimator sees its samples in index order whatever the
+  // interleaving.
+  std::vector<std::size_t> offsets(runs.size() + 1, 0);
+  std::vector<SampleOutcome> outcomes;
   for (;;) {
-    bool any_work = false;
-    for (StratumRun& run : runs) any_work |= run.next < run.budget;
-    if (!any_work) {
+    for (std::size_t s = 0; s < runs.size(); ++s) {
+      const StratumRun& run = runs[s];
+      const std::uint64_t stop = std::min(run.budget, run.next + run.round_quota);
+      offsets[s + 1] = offsets[s] + (run.next < stop ? stop - run.next : 0);
+    }
+    const std::size_t round_size = offsets.back();
+    if (round_size == 0) {
       result.stop_reason = "budget_exhausted";
       break;
     }
+    outcomes.resize(round_size);
 
-    // One round: every stratum advances by its quota; strata fan out over
-    // the workers. Exceptions must not escape parallel_chunks' fn, and the
-    // engine calls below don't throw on any in-range input, so the body is
-    // plain straight-line code.
+    // A worker checks `cancel` before claiming an item and always finishes
+    // what it claims, so the finished items are exactly the prefix
+    // [0, min(cursor, round_size)). Exceptions must not escape
+    // parallel_chunks' fn, and the engine calls below don't throw on any
+    // in-range input, so the body is plain straight-line code.
+    std::atomic<std::size_t> cursor{0};
+    const auto active = static_cast<unsigned>(std::min(sims.size(), round_size));
     parallel_chunks(
-        runs.size(), result.workers,
-        [&](unsigned /*worker*/, std::size_t begin, std::size_t end) {
-          for (std::size_t s = begin; s < end; ++s) {
-            StratumRun& run = runs[s];
-            const std::uint64_t stop =
-                std::min(run.budget, run.next + run.round_quota);
-            if (run.next >= stop) continue;
-            for (std::uint64_t i = run.next; i < stop; ++i) {
-              if (cancel != nullptr &&
-                  cancel->load(std::memory_order_relaxed)) {
-                break;
-              }
-              const SamplePair pair = sampler.draw(*run.stratum, run.index, i);
-              const AttackResult attack = run.sim->attack(pair.victim, pair.attacker);
-              const DetectionOutcome detection =
-                  probes ? evaluate_detection(run.sim->routes(), *probes)
-                         : DetectionOutcome{};
-              run.est.add_sample(attack.polluted_ases, run.sim->last_attack_warm(),
-                                 detection.detected(),
-                                 detection.first_generation_proxy,
-                                 pair.reservoir_word);
-              run.next = i + 1;
-              BGPSIM_PROGRESS_TICK();
+        active, active,
+        [&](unsigned worker, std::size_t /*begin*/, std::size_t /*end*/) {
+          HijackSimulator& sim = *sims[worker];
+          std::size_t s = 0;
+          for (;;) {
+            if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+              break;
             }
+            const std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+            if (k >= round_size) break;
+            while (offsets[s + 1] <= k) ++s;  // a worker's claims only grow
+            const StratumRun& run = runs[s];
+            const SamplePair pair =
+                sampler.draw(*run.stratum, run.index, run.next + (k - offsets[s]));
+            const AttackResult attack = sim.attack(pair.victim, pair.attacker);
+            const DetectionOutcome detection =
+                probes ? evaluate_detection(sim.routes(), *probes)
+                       : DetectionOutcome{};
+            outcomes[k] = {pair.reservoir_word, attack.polluted_ases,
+                           detection.first_generation_proxy,
+                           sim.last_attack_warm(), detection.detected()};
           }
         });
+
+    const std::size_t finished =
+        std::min(cursor.load(std::memory_order_relaxed), round_size);
+    for (std::size_t s = 0; s < runs.size(); ++s) {
+      StratumRun& run = runs[s];
+      const std::size_t end = std::min(offsets[s + 1], finished);
+      for (std::size_t k = offsets[s]; k < end; ++k) {
+        const SampleOutcome& o = outcomes[k];
+        run.est.add_sample(o.polluted, o.warm, o.detected, o.first_gen,
+                           o.reservoir_word);
+        run.next += 1;
+      }
+    }
     result.rounds += 1;
     BGPSIM_COUNTER_ADD("campaign.rounds", 1);
 

@@ -6,11 +6,16 @@
 // the shared read-only BaselineStore, and folds the outcomes into streaming
 // estimators (campaign/estimator.hpp). Work proceeds in synchronized
 // *rounds*: each round extends every stratum's sample range by its quota,
-// strata fan out across workers via bgpsim::parallel_chunks, and after the
-// join the pooled CI half-width decides whether to stop early. Because
-// per-sample randomness is counter-based, each stratum's estimator is fed by
-// one worker at a time in sample-index order, and the stop rule only reads
-// post-barrier state, the full result — estimates, CI trajectory, samples
+// and the unit of parallel work is one sample. Up to `workers` threads
+// (bgpsim::parallel_chunks), each with its own HijackSimulator for the whole
+// campaign, pull the round's samples from one shared cursor and write each
+// outcome into that sample's slot of a round buffer. After the join the
+// driver thread folds the slots into the per-stratum estimators in
+// sample-index order, and the pooled CI half-width decides whether to stop
+// early. A sample's outcome is a pure function of (seed, stratum, index) —
+// the sampler is counter-based and a warm attack starts from a copy of the
+// baseline — the fold order is fixed, and the stop rule only reads
+// post-fold state, so the full result — estimates, CI trajectory, samples
 // used — is bit-identical for any worker count.
 //
 // Pooling uses the standard stratified formulas over attacker-population
@@ -58,6 +63,8 @@ struct CampaignSpec {
   /// round cannot truncate a stratum to a handful of samples.
   std::uint64_t min_samples_per_stratum = 32;
 
+  /// Sample threads per round, each with its own simulator; no more run
+  /// than a round has samples.
   unsigned workers = 1;
 
   /// Top-K-by-degree ROV deployment applied to every sample (0 = none).
@@ -126,9 +133,10 @@ using ProgressFn = std::function<void(const CampaignProgress&)>;
 
 /// Run one campaign. `baselines` must cover the victim pool (its targets
 /// ARE the victim pool — every sample warm-starts). `cancel`, when non-null,
-/// is polled between samples; a cancelled campaign returns the partial
-/// estimates with stop_reason "cancelled". `progress` (optional) fires after
-/// every round barrier, off the worker threads.
+/// is polled before each sample; a cancelled campaign returns the partial
+/// estimates — a prefix of every stratum's samples — with stop_reason
+/// "cancelled". `progress` (optional) fires after every round barrier, off
+/// the worker threads.
 CampaignResult run_campaign(const Scenario& scenario,
                             std::shared_ptr<const store::BaselineStore> baselines,
                             const CampaignSpec& spec,

@@ -1,13 +1,15 @@
 // Campaign subsystem tests: estimator correctness against brute force,
 // bit-exact shard-merge order independence, sampler reproducibility, driver
-// determinism across worker counts, early stopping, and CI coverage against
-// an exhaustive ground truth at small scale.
+// determinism across worker counts (and one report pinned byte for byte),
+// progress accounting, early stopping, and CI coverage against an
+// exhaustive ground truth at small scale.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "campaign/driver.hpp"
@@ -15,6 +17,7 @@
 #include "campaign/sampler.hpp"
 #include "core/scenario.hpp"
 #include "hijack/hijack_simulator.hpp"
+#include "obs/progress.hpp"
 #include "store/baseline.hpp"
 #include "support/rng.hpp"
 
@@ -267,6 +270,155 @@ void expect_identical_results(const CampaignResult& a, const CampaignResult& b) 
   }
 }
 
+/// The report without its two wall-clock fields, the only nondeterministic
+/// ones.
+std::string strip_timing(std::string json) {
+  for (const char* key : {"\"wall_seconds\":", "\"samples_per_second\":"}) {
+    const std::size_t start = json.find(key);
+    EXPECT_NE(start, std::string::npos) << key;
+    if (start == std::string::npos) continue;
+    const std::size_t end = json.find(',', start);
+    EXPECT_NE(end, std::string::npos) << key;
+    if (end == std::string::npos) continue;
+    json.erase(start, end + 1 - start);
+  }
+  return json;
+}
+
+TEST(CampaignDriver, ReportIsPinned) {
+  const Scenario scenario = small_scenario(400, 5);
+  const auto baselines = make_baselines(scenario, 6);
+  CampaignSpec spec;
+  spec.seed = 9;
+  spec.sample_budget = 800;
+  spec.batch = 12;
+  spec.deployment_top = 20;
+  spec.probes = 8;
+  // Every estimate, P² sketch, reservoir quantile and trajectory point, bit
+  // for bit: a change to how samples are scheduled or folded shows up here.
+  const std::string pinned =
+      R"({"schema":"bgpsim.campaign.v1","seed":9,"samples_used":846,)"
+      R"("sample_budget":800,"warm_samples":846,"rounds":68,)"
+      R"("early_stopped":false,"stop_reason":"budget_exhausted",)"
+      R"("target_ci":0,"workers":1,"victim_pool":6,"deployment_top":20,)"
+      R"("probes":8,"pooled":{"mean_fraction":0.043349023437500002,)"
+      R"("ci_half_width":0.0032889035051816835,)"
+      R"("p50_fraction":0.017500000000000002,)"
+      R"("p90_fraction":0.11750000000000001,)"
+      R"("detection_rate":0.014999999999999999,)"
+      R"("mean_detection_generation":0},"strata":[{"label":"tier1",)"
+      R"("attackers":4,"weight":0.01,"samples":32,"warm":32,)"
+      R"("mean_fraction":0.13140625,"ci_half_width":0.027649830224203042,)"
+      R"("p50_fraction":0.095006327507053151,)"
+      R"("p90_fraction":0.24700462962962963,"detected":0,)"
+      R"("detection_rate":0,"mean_detection_generation":0},)"
+      R"({"label":"tier2","attackers":9,"weight":0.022499999999999999,)"
+      R"("samples":32,"warm":32,"mean_fraction":0.17085937500000001,)"
+      R"("ci_half_width":0.023056852961119003,)"
+      R"("p50_fraction":0.16317085982854748,)"
+      R"("p90_fraction":0.25987453029560648,"detected":16,)"
+      R"("detection_rate":0.5,"mean_detection_generation":0},)"
+      R"({"label":"transit_shallow","attackers":34,)"
+      R"("weight":0.085000000000000006,"samples":68,"warm":68,)"
+      R"("mean_fraction":0.06790441176470588,)"
+      R"("ci_half_width":0.017288966227069307,)"
+      R"("p50_fraction":0.045757997110635024,)"
+      R"("p90_fraction":0.17714571842602608,"detected":3,)"
+      R"("detection_rate":0.044117647058823532,)"
+      R"("mean_detection_generation":0},{"label":"transit_deep",)"
+      R"("attackers":12,"weight":0.029999999999999999,"samples":32,)"
+      R"("warm":32,"mean_fraction":0.071562500000000001,)"
+      R"("ci_half_width":0.017063025973286367,)"
+      R"("p50_fraction":0.074551347330423484,)"
+      R"("p90_fraction":0.13763418692129631,"detected":0,)"
+      R"("detection_rate":0,"mean_detection_generation":0},)"
+      R"({"label":"stub_multi","attackers":291,)"
+      R"("weight":0.72750000000000004,"samples":582,"warm":582,)"
+      R"("mean_fraction":0.036924398625429559,)"
+      R"("ci_half_width":0.00362701598297206,)"
+      R"("p50_fraction":0.016083327391600139,)"
+      R"("p90_fraction":0.10974463595199879,"detected":0,)"
+      R"("detection_rate":0,"mean_detection_generation":0},)"
+      R"({"label":"stub_single","attackers":50,"weight":0.125,)"
+      R"("samples":100,"warm":100,"mean_fraction":0.027275000000000001,)"
+      R"("ci_half_width":0.0083413667128467844,)"
+      R"("p50_fraction":0.0027377594727917738,)"
+      R"("p90_fraction":0.10303012080136485,"detected":0,)"
+      R"("detection_rate":0,"mean_detection_generation":0}],)"
+      R"("ci_trajectory":[{"samples":15,)"
+      R"("ci_half_width":0.029513646521303401},{"samples":30,)"
+      R"("ci_half_width":0.018378711393624431},{"samples":45,)"
+      R"("ci_half_width":0.013312947195777426},{"samples":60,)"
+      R"("ci_half_width":0.011416355916069302},{"samples":75,)"
+      R"("ci_half_width":0.010814430726487948},{"samples":90,)"
+      R"("ci_half_width":0.009907599034343165},{"samples":105,)"
+      R"("ci_half_width":0.0092955700200515815},{"samples":120,)"
+      R"("ci_half_width":0.0092926827321607383},{"samples":135,)"
+      R"("ci_half_width":0.0083984673423019539},{"samples":150,)"
+      R"("ci_half_width":0.0078623009790349391},{"samples":165,)"
+      R"("ci_half_width":0.0075541695201144544},{"samples":180,)"
+      R"("ci_half_width":0.0070644605022917454},{"samples":195,)"
+      R"("ci_half_width":0.0067500415018617596},{"samples":210,)"
+      R"("ci_half_width":0.0065282639551763047},{"samples":225,)"
+      R"("ci_half_width":0.0066821654452898878},{"samples":240,)"
+      R"("ci_half_width":0.0064516498054155314},{"samples":255,)"
+      R"("ci_half_width":0.0062146393959390143},{"samples":270,)"
+      R"("ci_half_width":0.0059874232384544181},{"samples":285,)"
+      R"("ci_half_width":0.0058239931513916349},{"samples":300,)"
+      R"("ci_half_width":0.0057030683723595429},{"samples":315,)"
+      R"("ci_half_width":0.0055617292042034888},{"samples":330,)"
+      R"("ci_half_width":0.0053725920736733962},{"samples":345,)"
+      R"("ci_half_width":0.0051989371297475138},{"samples":360,)"
+      R"("ci_half_width":0.0050934112099864128},{"samples":375,)"
+      R"("ci_half_width":0.0051247366937200783},{"samples":390,)"
+      R"("ci_half_width":0.0050168654605242937},{"samples":405,)"
+      R"("ci_half_width":0.0048876479038455507},{"samples":420,)"
+      R"("ci_half_width":0.0048639499095304121},{"samples":435,)"
+      R"("ci_half_width":0.0047857228841237595},{"samples":450,)"
+      R"("ci_half_width":0.004746316863129086},{"samples":465,)"
+      R"("ci_half_width":0.0046634519272336448},{"samples":480,)"
+      R"("ci_half_width":0.0045588515128272781},{"samples":492,)"
+      R"("ci_half_width":0.0044795063952965146},{"samples":504,)"
+      R"("ci_half_width":0.0044355586888599058},{"samples":516,)"
+      R"("ci_half_width":0.0044121011589155707},{"samples":528,)"
+      R"("ci_half_width":0.004369708065577774},{"samples":540,)"
+      R"("ci_half_width":0.0043251729112368121},{"samples":552,)"
+      R"("ci_half_width":0.0042380060365095071},{"samples":564,)"
+      R"("ci_half_width":0.0042108772857029891},{"samples":576,)"
+      R"("ci_half_width":0.0041294581565398903},{"samples":588,)"
+      R"("ci_half_width":0.0040703922731378699},{"samples":600,)"
+      R"("ci_half_width":0.0041962544452313049},{"samples":612,)"
+      R"("ci_half_width":0.0041377305557195893},{"samples":624,)"
+      R"("ci_half_width":0.0040797095118266669},{"samples":636,)"
+      R"("ci_half_width":0.0040139255362752315},{"samples":648,)"
+      R"("ci_half_width":0.0039561978083325578},{"samples":660,)"
+      R"("ci_half_width":0.0039012791604917181},{"samples":672,)"
+      R"("ci_half_width":0.0038952147867958812},{"samples":684,)"
+      R"("ci_half_width":0.0038319133622678352},{"samples":696,)"
+      R"("ci_half_width":0.0037818923050651752},{"samples":706,)"
+      R"("ci_half_width":0.0037248706689790912},{"samples":716,)"
+      R"("ci_half_width":0.0036850900956027586},{"samples":726,)"
+      R"("ci_half_width":0.0036490801408904641},{"samples":736,)"
+      R"("ci_half_width":0.0035983698654884315},{"samples":746,)"
+      R"("ci_half_width":0.0035515129066669105},{"samples":756,)"
+      R"("ci_half_width":0.0035385103943314841},{"samples":766,)"
+      R"("ci_half_width":0.0035010789674350179},{"samples":776,)"
+      R"("ci_half_width":0.0034801274854793802},{"samples":786,)"
+      R"("ci_half_width":0.0034457391055246465},{"samples":796,)"
+      R"("ci_half_width":0.0034066601427763638},{"samples":806,)"
+      R"("ci_half_width":0.0033758990127306038},{"samples":816,)"
+      R"("ci_half_width":0.0033746689767934933},{"samples":826,)"
+      R"("ci_half_width":0.0033606680449590437},{"samples":836,)"
+      R"("ci_half_width":0.0033384910460237394},{"samples":843,)"
+      R"("ci_half_width":0.0033127094060186602},{"samples":844,)"
+      R"("ci_half_width":0.0033058625772484839},{"samples":845,)"
+      R"("ci_half_width":0.0032961340727522058},{"samples":846,)"
+      R"("ci_half_width":0.0032889035051816835}]})";
+  EXPECT_EQ(strip_timing(campaign_report_json(
+                run_campaign(scenario, baselines, spec))),
+            pinned);
+}
+
 TEST(CampaignDriver, DeterministicRunToRun) {
   const Scenario scenario = small_scenario(400, 5);
   const auto baselines = make_baselines(scenario, 6);
@@ -278,20 +430,8 @@ TEST(CampaignDriver, DeterministicRunToRun) {
   const CampaignResult a = run_campaign(scenario, baselines, spec);
   const CampaignResult b = run_campaign(scenario, baselines, spec);
   expect_identical_results(a, b);
-  // The report is byte-identical too, once the two wall-clock fields —
-  // the only nondeterministic ones — are masked out.
-  auto strip_timing = [](std::string json) {
-    for (const char* key : {"\"wall_seconds\":", "\"samples_per_second\":"}) {
-      const std::size_t start = json.find(key);
-      EXPECT_NE(start, std::string::npos) << key;
-      if (start == std::string::npos) continue;
-      const std::size_t end = json.find(',', start);
-      EXPECT_NE(end, std::string::npos) << key;
-      if (end == std::string::npos) continue;
-      json.erase(start, end - start);
-    }
-    return json;
-  };
+  // The report is byte-identical too, once the wall-clock fields are
+  // masked out.
   EXPECT_EQ(strip_timing(campaign_report_json(a)),
             strip_timing(campaign_report_json(b)));
 }
@@ -306,10 +446,35 @@ TEST(CampaignDriver, WorkerCountDoesNotChangeResults) {
   spec.probes = 8;
   spec.workers = 1;
   const CampaignResult one = run_campaign(scenario, baselines, spec);
-  spec.workers = 4;
-  const CampaignResult four = run_campaign(scenario, baselines, spec);
-  expect_identical_results(one, four);
   EXPECT_EQ(one.warm_samples, one.samples_used);  // every sample warm-starts
+  // 6 strata and 128-sample rounds: 8 and 16 workers exceed the stratum
+  // count, and once the large strata exhaust their budgets the tail rounds
+  // draw only tier1's floored samples, one per round.
+  for (const unsigned workers : {2u, 3u, 4u, 8u, 16u}) {
+    SCOPED_TRACE(workers);
+    spec.workers = workers;
+    expect_identical_results(one, run_campaign(scenario, baselines, spec));
+  }
+}
+
+TEST(CampaignDriver, ProgressCountsEachSampleOnce) {
+#if defined(BGPSIM_OBS_DISABLED)
+  GTEST_SKIP() << "built with -DBGPSIM_OBS=OFF: progress macros compile out";
+#else
+  const Scenario scenario = small_scenario(400, 5);
+  const auto baselines = make_baselines(scenario, 6);
+  CampaignSpec spec;
+  spec.seed = 9;
+  spec.sample_budget = 800;
+  spec.batch = 128;
+  spec.workers = 4;
+  obs::progress().reset();
+  const CampaignResult result = run_campaign(scenario, baselines, spec);
+  // Each sample's attack ticks once, and the budget is declared once.
+  EXPECT_EQ(obs::progress().done(), result.samples_used);
+  EXPECT_EQ(obs::progress().total(), result.sample_budget);
+  obs::progress().reset();
+#endif
 }
 
 TEST(CampaignDriver, EarlyStopsBelowBudgetAtTargetCi) {

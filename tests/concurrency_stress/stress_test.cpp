@@ -14,6 +14,8 @@
 //   - profiler start/stop churn while SIGPROF samples land in busy threads
 //     (the stop-side disarm/unpublish/drain ordering),
 //   - parallel_chunks workers contending on shared relaxed atomics,
+//   - campaign workers pulling samples from one relaxed cursor into a shared
+//     round buffer while a cancel lands mid-round,
 //   - concurrent metric registration against registry snapshots.
 //
 // Iteration counts are deliberately small: the battery runs on every lane,
@@ -27,6 +29,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -37,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/driver.hpp"
 #include "core/scenario.hpp"
 #include "net/http_common.hpp"
 #include "net/loopback_server.hpp"
@@ -510,6 +514,81 @@ TEST(ParallelChunksStress, BackToBackFanOutsReuseCleanly) {
                     });
   }
   EXPECT_EQ(total.load(std::memory_order_relaxed), 6u * 500u);
+}
+
+// ---------------------------------------------------------------------------
+// Campaign driver: sample-sharded rounds vs a concurrent cancel
+// ---------------------------------------------------------------------------
+
+TEST(CampaignStress, CancelRacesShardedRound) {
+  ScenarioParams params;
+  params.topology.total_ases = 400;
+  params.topology.seed = 5;
+  const Scenario scenario = Scenario::generate(params);
+  const std::vector<AsId> victims(scenario.transit().begin(),
+                                  scenario.transit().begin() + 6);
+  const auto baselines = std::make_shared<const store::BaselineStore>(
+      store::BaselineStore::compute(scenario.graph(), scenario.policy(), victims));
+
+  campaign::CampaignSpec spec;
+  spec.seed = 9;
+  spec.sample_budget = 20000;
+  spec.batch = 1024;
+  spec.probes = 8;
+  spec.workers = 8;
+
+  // The test thread raises cancel 64 samples into round 4 (of ~1,024), while
+  // the workers are claiming and writing that round's samples: every
+  // finished attack ticks progress. With -DBGPSIM_OBS=OFF nothing ticks, and
+  // the cancel lands after round 5 instead.
+  obs::progress().reset();
+  std::atomic<bool> cancel{false};
+  std::atomic<std::uint64_t> rounds_seen{0};
+  std::atomic<std::uint64_t> samples_seen{0};
+  std::thread canceller([&] {
+    while (rounds_seen.load(std::memory_order_acquire) < 3) {
+      std::this_thread::yield();
+    }
+    const std::uint64_t mid_round = samples_seen.load(std::memory_order_relaxed) + 64;
+    while (obs::progress().done() < mid_round &&
+           rounds_seen.load(std::memory_order_acquire) < 5) {
+      std::this_thread::yield();
+    }
+    cancel.store(true, std::memory_order_relaxed);
+  });
+  const campaign::CampaignResult cancelled = campaign::run_campaign(
+      scenario, baselines, spec, &cancel, [&](const campaign::CampaignProgress& p) {
+        samples_seen.store(p.samples_done, std::memory_order_relaxed);
+        rounds_seen.store(p.rounds, std::memory_order_release);
+      });
+  canceller.join();
+  obs::progress().reset();
+
+  EXPECT_EQ(cancelled.stop_reason, "cancelled");
+  ASSERT_FALSE(cancelled.trajectory.empty());
+  EXPECT_EQ(cancelled.samples_used, cancelled.trajectory.back().samples);
+  std::uint64_t strata_samples = 0;
+  for (const campaign::StratumResult& row : cancelled.strata) {
+    strata_samples += row.samples;
+    // A stratum's budget is its largest-remainder share of the total (at
+    // most one over weight × budget), raised to the per-stratum minimum.
+    const std::uint64_t budget = std::max<std::uint64_t>(
+        spec.min_samples_per_stratum,
+        static_cast<std::uint64_t>(row.weight * static_cast<double>(spec.sample_budget)) + 1);
+    EXPECT_LE(row.samples, budget) << row.label;
+  }
+  EXPECT_EQ(cancelled.samples_used, strata_samples);
+
+  // Uncancelled, 8 workers reproduce the 1-worker report field by field;
+  // only the worker count and the wall-clock fields may differ.
+  spec.sample_budget = 600;
+  campaign::CampaignResult eight = campaign::run_campaign(scenario, baselines, spec);
+  spec.workers = 1;
+  const campaign::CampaignResult one = campaign::run_campaign(scenario, baselines, spec);
+  eight.workers = one.workers;
+  eight.wall_seconds = one.wall_seconds;
+  eight.samples_per_second = one.samples_per_second;
+  EXPECT_EQ(campaign::campaign_report_json(eight), campaign::campaign_report_json(one));
 }
 
 // ---------------------------------------------------------------------------

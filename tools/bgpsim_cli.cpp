@@ -563,8 +563,6 @@ int cmd_campaign(const Args& args) {
     throw ConfigError("victim pool is empty — nothing to sample");
   }
 
-  BGPSIM_PROGRESS(spec.sample_budget);
-  BGPSIM_PROGRESS_PHASE("campaign.samples");
   const campaign::CampaignResult result =
       campaign::run_campaign(*scenario, baselines, spec);
   std::printf("%s\n", campaign::campaign_report_json(result).c_str());
