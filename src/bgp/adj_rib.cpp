@@ -1,5 +1,7 @@
 #include "bgp/adj_rib.hpp"
 
+#include <algorithm>
+
 #include "obs/obs.hpp"
 #include "support/assert.hpp"
 
@@ -44,10 +46,10 @@ AdjRib::AdjRib(const AsGraph& graph, PolicyConfig config)
   }
 
   rib_.assign(total_edges, Entry{});
-  rib_path_.resize(total_edges);
+  rib_path_.assign(total_edges, kNoPath);
   best_.assign(n, Route{});
   best_slot_.assign(n, kSelfSlot);
-  best_path_.resize(n);
+  best_path_.assign(n, kNoPath);
   offered_bogus_.assign(n, 0);
 }
 
@@ -55,9 +57,10 @@ void AdjRib::reset() {
   std::fill(rib_.begin(), rib_.end(), Entry{});
   std::fill(best_.begin(), best_.end(), Route{});
   std::fill(best_slot_.begin(), best_slot_.end(), kSelfSlot);
-  for (auto& path : best_path_) path.clear();
-  // rib_path_ contents are stale but unreachable: entries with
-  // RouteClass::None are never read.
+  std::fill(best_path_.begin(), best_path_.end(), kNoPath);
+  // rib_path_ ids are stale but unreachable: entries with RouteClass::None
+  // are never read. Clearing keeps the arena's capacity for the next prefix.
+  path_nodes_.clear();
   std::fill(offered_bogus_.begin(), offered_bogus_.end(), 0);
 }
 
@@ -68,12 +71,19 @@ std::uint32_t AdjRib::count_origin(Origin origin) const {
 }
 
 void AdjRib::originate(AsId origin, Origin tag, AsId forged_tail) {
-  best_path_[origin].assign(1, origin);
-  if (forged_tail != kInvalidAs) best_path_[origin].push_back(forged_tail);
+  const bool forged = forged_tail != kInvalidAs;
+  set_best_path(origin, forged ? push_node(forged_tail, kNoPath) : kNoPath);
   best_[origin] = Route{tag, RouteClass::Self,
-                        static_cast<std::uint16_t>(best_path_[origin].size()),
-                        kInvalidAs};
+                        static_cast<std::uint16_t>(forged ? 2 : 1), kInvalidAs};
   best_slot_[origin] = kSelfSlot;
+}
+
+std::vector<AsId> AdjRib::materialize(PathId path) const {
+  std::vector<AsId> out;
+  for (; path != kNoPath; path = path_nodes_[path].tail) {
+    out.push_back(path_nodes_[path].head);
+  }
+  return out;
 }
 
 void AdjRib::reselect(AsId v) {
@@ -100,7 +110,7 @@ void AdjRib::reselect(AsId v) {
   if (best_idx != kSelfSlot) {
     set_best_path(v, rib_path_[best_idx]);
   } else {
-    best_path_[v].clear();
+    best_path_[v] = kNoPath;
   }
   record_provenance(v, best, before);
 }

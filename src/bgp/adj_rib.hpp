@@ -16,12 +16,12 @@
 // route class and path length at every AS.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "bgp/policy.hpp"
 #include "bgp/types.hpp"
+#include "support/assert.hpp"
 #include "topology/as_graph.hpp"
 
 namespace bgpsim {
@@ -32,6 +32,13 @@ class ProvenanceRecorder;  // obs/provenance.hpp
 
 class AdjRib {
  public:
+  /// An interned AS path: node {head AS, tail PathId} in one append-only
+  /// arena, read by walking tails to kNoPath. Nodes never change and live
+  /// until reset(), so an id keeps naming the same AS sequence for the rest
+  /// of the prefix; two ids may still name equal sequences.
+  using PathId = std::uint32_t;
+  static constexpr PathId kNoPath = 0xffffffffu;
+
   /// One Adj-RIB-In entry: what a neighbor currently offers (cls None:
   /// nothing).
   struct Entry {
@@ -70,8 +77,10 @@ class AdjRib {
 
   /// Selected route of v.
   const Route& route(AsId v) const { return best_[v]; }
+  /// Interned path of v's selected route: what v announces.
+  PathId path_id(AsId v) const { return best_path_[v]; }
   /// Full AS path of v's selected route: [v, next hop, ..., origin].
-  const std::vector<AsId>& path_of(AsId v) const { return best_path_[v]; }
+  std::vector<AsId> path_of(AsId v) const { return materialize(best_path_[v]); }
   /// True once an Attacker-tagged update was delivered to v, even if
   /// validation, loop detection, preference or the stub filter dropped it.
   bool offered_bogus(AsId v) const { return offered_bogus_[v] != 0; }
@@ -79,8 +88,9 @@ class AdjRib {
   void export_routes(RouteTable& out) const { out.routes = best_; }
 
   const Entry& entry(std::uint32_t rib_idx) const { return rib_[rib_idx]; }
-  const std::vector<AsId>& entry_path(std::uint32_t rib_idx) const {
-    return rib_path_[rib_idx];
+  /// The AS path entry rib_idx holds (empty when it holds nothing).
+  std::vector<AsId> entry_path(std::uint32_t rib_idx) const {
+    return holds(rib_idx) ? materialize(rib_path_[rib_idx]) : std::vector<AsId>{};
   }
   bool holds(std::uint32_t rib_idx) const {
     return rib_[rib_idx].cls != RouteClass::None;
@@ -104,7 +114,7 @@ class AdjRib {
   /// Adj-RIB-In entry rib_idx of `to`. Returns true when `to`'s selection
   /// changed.
   bool deliver(AsId from, AsId to, std::uint32_t rib_idx, const Entry& entry,
-               const std::vector<AsId>& path, const ValidatorSet* validators);
+               PathId path, const ValidatorSet* validators);
   /// Receive a WITHDRAW into entry rib_idx of `to`. Returns true when it
   /// cleared `to`'s selected route.
   bool withdraw(AsId to, std::uint32_t rib_idx);
@@ -126,8 +136,19 @@ class AdjRib {
  private:
   static constexpr std::uint32_t kSelfSlot = 0xffffffffu;
 
+  struct PathNode {
+    AsId head;
+    PathId tail;
+  };
+
+  PathId push_node(AsId head, PathId tail);
+  bool path_contains(PathId path, AsId as_id) const;
+  /// Equal AS sequences: equal ids, or an equal walk.
+  bool same_path(PathId a, PathId b) const;
+  std::vector<AsId> materialize(PathId path) const;
+
   void reselect(AsId v);
-  void set_best_path(AsId v, const std::vector<AsId>& tail);
+  void set_best_path(AsId v, PathId tail) { best_path_[v] = push_node(v, tail); }
   /// Emit an adopt/cure edge when `now` differs materially from `before`
   /// and either side is Attacker-origin. No-op when unarmed.
   void record_provenance(AsId to, const Route& now, const Route& before);
@@ -142,15 +163,20 @@ class AdjRib {
   std::vector<std::uint32_t> mirror_;
   std::vector<std::uint8_t> is_stub_;  // for the first-hop stub filter
 
+  // Every interned path node since the last reset().
+  std::vector<PathNode> path_nodes_;
+
   // Adj-RIB-In, one entry per directed edge (indexed edge_offset_[v] + slot).
+  // rib_path_[i] is read only while rib_[i] holds a route.
   std::vector<Entry> rib_;
-  std::vector<std::vector<AsId>> rib_path_;
+  std::vector<PathId> rib_path_;
 
   // Selected route per AS. best_slot_ is the Adj-RIB-In index of the
   // selected route, or kSelfSlot for a self-originated one (or none).
+  // best_path_ is kNoPath for no route.
   std::vector<Route> best_;
   std::vector<std::uint32_t> best_slot_;
-  std::vector<std::vector<AsId>> best_path_;
+  std::vector<PathId> best_path_;
   std::vector<std::uint8_t> offered_bogus_;
 
   // Validator rejections not yet flushed to defense.validator_drops.
@@ -179,10 +205,31 @@ inline AdjRib::Export AdjRib::export_action(AsId v, const Neighbor& nbr) const {
   return Export::Announce;
 }
 
+inline AdjRib::PathId AdjRib::push_node(AsId head, PathId tail) {
+  BGPSIM_REQUIRE(path_nodes_.size() < kNoPath, "AS path arena exhausted");
+  path_nodes_.push_back(PathNode{head, tail});
+  return static_cast<PathId>(path_nodes_.size() - 1);
+}
+
+inline bool AdjRib::path_contains(PathId path, AsId as_id) const {
+  for (; path != kNoPath; path = path_nodes_[path].tail) {
+    if (path_nodes_[path].head == as_id) return true;
+  }
+  return false;
+}
+
+inline bool AdjRib::same_path(PathId a, PathId b) const {
+  // Equal ids share the rest of the walk, so stop at the first common id.
+  for (; a != b; a = path_nodes_[a].tail, b = path_nodes_[b].tail) {
+    if (a == kNoPath || b == kNoPath) return false;
+    if (path_nodes_[a].head != path_nodes_[b].head) return false;
+  }
+  return true;
+}
+
 inline bool AdjRib::withdraw(AsId to, std::uint32_t rib_idx) {
   if (rib_[rib_idx].cls == RouteClass::None) return false;
   rib_[rib_idx] = Entry{};
-  rib_path_[rib_idx].clear();
   if (best_slot_[to] == rib_idx) {
     reselect(to);
     return true;
@@ -191,7 +238,7 @@ inline bool AdjRib::withdraw(AsId to, std::uint32_t rib_idx) {
 }
 
 inline bool AdjRib::deliver(AsId from, AsId to, std::uint32_t rib_idx,
-                            const Entry& entry, const std::vector<AsId>& path,
+                            const Entry& entry, PathId path,
                             const ValidatorSet* validators) {
   if (entry.origin == Origin::Attacker) offered_bogus_[to] = 1;
 
@@ -207,13 +254,12 @@ inline bool AdjRib::deliver(AsId from, AsId to, std::uint32_t rib_idx,
     return withdraw(to, rib_idx);
   }
   // Loop rejection: the receiver appears in the announced AS path.
-  if (std::find(path.begin(), path.end(), to) != path.end()) {
-    return withdraw(to, rib_idx);
-  }
+  if (path_contains(path, to)) return withdraw(to, rib_idx);
 
   const Entry old = rib_[rib_idx];
   const bool replaced_same = old.cls == entry.cls && old.origin == entry.origin &&
-                             old.len == entry.len && rib_path_[rib_idx] == path;
+                             old.len == entry.len &&
+                             same_path(rib_path_[rib_idx], path);
   rib_[rib_idx] = entry;
   rib_path_[rib_idx] = path;
 
@@ -260,11 +306,6 @@ inline bool AdjRib::deliver(AsId from, AsId to, std::uint32_t rib_idx,
     return true;
   }
   return false;
-}
-
-inline void AdjRib::set_best_path(AsId v, const std::vector<AsId>& tail) {
-  best_path_[v].assign(1, v);
-  best_path_[v].insert(best_path_[v].end(), tail.begin(), tail.end());
 }
 
 }  // namespace bgpsim

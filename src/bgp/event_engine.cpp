@@ -46,9 +46,9 @@ void EventEngine::schedule_exports(AsId v, double now) {
     msg.kind = kind;
     if (kind == AdjRib::Export::Announce) {
       msg.entry = rib_.offered(v, nbr);
-      msg.path = rib_.path_of(v);
+      msg.path = rib_.path_id(v);
     }
-    queue_.push(std::move(msg));
+    queue_.push(msg);
   }
 }
 

@@ -93,8 +93,8 @@ class EventEngine {
     AsId to = kInvalidAs;
     std::uint32_t rib_idx = 0;  ///< where it lands in `to`'s Adj-RIB-In
     AdjRib::Export kind = AdjRib::Export::Announce;
-    AdjRib::Entry entry;         ///< Announce only
-    std::vector<AsId> path;      ///< Announce only
+    AdjRib::Entry entry;                    ///< Announce only
+    AdjRib::PathId path = AdjRib::kNoPath;  ///< Announce only
 
     bool operator>(const Message& other) const {
       if (time != other.time) return time > other.time;

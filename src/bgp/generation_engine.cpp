@@ -187,7 +187,7 @@ ConvergeStats GenerationEngine::announce(AsId origin, Origin tag,
 
     for (const AsId v : frontier_) {
       changed_flag_[v] = 0;
-      const std::vector<AsId>& announce_path = rib_.path_of(v);
+      const AdjRib::PathId announce_path = rib_.path_id(v);
       const std::uint32_t base = rib_.first_edge(v);
       const auto nbrs = graph.neighbors(v);
       for (std::uint32_t k = 0; k < nbrs.size(); ++k) {

@@ -8,7 +8,7 @@
 //  generations."
 //
 // This engine is the synchronous scheduler over the shared propagation core
-// (bgp/adj_rib.hpp, which keeps full AS paths for loop rejection and
+// (bgp/adj_rib.hpp, which keeps interned AS paths for loop rejection and
 // visualization); it adds per-generation traces for the paper's polar-graph
 // figures. For bulk parameter sweeps use EquilibriumEngine, which computes
 // the same stable state in one O(V+E) pass; their agreement is validated in
@@ -103,7 +103,7 @@ class GenerationEngine {
 
   /// Full AS path of v's selected route: [v, next hop, ..., origin].
   /// Empty when v has no route; [v] when v originates the prefix.
-  const std::vector<AsId>& path_of(AsId v) const { return rib_.path_of(v); }
+  std::vector<AsId> path_of(AsId v) const { return rib_.path_of(v); }
 
   std::uint32_t count_origin(Origin origin) const {
     return rib_.count_origin(origin);

@@ -11,7 +11,8 @@
 namespace bgpsim::obs {
 
 std::uint64_t JsonValue::as_u64(std::uint64_t fallback) const {
-  if (!is_number() || number_ < 0.0) return fallback;
+  // 2^64 is the first double the cast cannot represent.
+  if (!is_number() || number_ < 0.0 || number_ >= 0x1p64) return fallback;
   return static_cast<std::uint64_t>(number_);
 }
 

@@ -39,6 +39,8 @@ class JsonValue {
   double as_number(double fallback = 0.0) const {
     return is_number() ? number_ : fallback;
   }
+  /// The number truncated toward zero; `fallback` for a non-number, a
+  /// negative number or one >= 2^64.
   std::uint64_t as_u64(std::uint64_t fallback = 0) const;
   const std::string& as_string() const { return string_; }
 

@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -22,6 +23,16 @@
 namespace bgpsim::serve {
 namespace {
 
+/// The integer a JSON number holds, when it is one in [0, limit).
+std::optional<std::uint64_t> integer_below(const obs::JsonValue& value,
+                                           double limit) {
+  const double number = value.as_number();
+  if (!(number >= 0.0 && number < limit) || number != std::trunc(number)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(number);
+}
+
 /// Resolve a JSON member holding an ASN to a dense id, or explain why not.
 /// Returns kInvalidAs and fills `error` on failure.
 AsId resolve_asn(const AsGraph& graph, const obs::JsonValue& value,
@@ -30,7 +41,12 @@ AsId resolve_asn(const AsGraph& graph, const obs::JsonValue& value,
     error = std::string(what) + " must be a number (an ASN)";
     return kInvalidAs;
   }
-  const auto asn = static_cast<Asn>(value.as_u64());
+  const std::optional<std::uint64_t> number = integer_below(value, 0x1p32);
+  if (!number) {
+    error = std::string(what) + " must be an integer ASN in [0, 4294967295]";
+    return kInvalidAs;
+  }
+  const auto asn = static_cast<Asn>(*number);
   const std::optional<AsId> id = graph.find(asn);
   if (!id) {
     error = std::string("unknown ") + what + " asn " + std::to_string(asn);
@@ -75,8 +91,9 @@ bool parse_object(const std::string& body, obs::JsonValue& doc,
   return true;
 }
 
-/// Read an optional non-negative number member; false + `error` on type
-/// mismatch, true (leaving `out` untouched) when the member is absent.
+/// Read an optional non-negative integer member; false + `error` on a
+/// non-number or a number outside the integers in [0, 2^64), true (leaving
+/// `out` untouched) when the member is absent.
 bool read_u64(const obs::JsonValue& doc, const char* name, std::uint64_t& out,
               std::string& error) {
   const obs::JsonValue* field = doc.find(name);
@@ -85,7 +102,12 @@ bool read_u64(const obs::JsonValue& doc, const char* name, std::uint64_t& out,
     error = std::string(name) + " must be a number";
     return false;
   }
-  out = field->as_u64();
+  const std::optional<std::uint64_t> value = integer_below(*field, 0x1p64);
+  if (!value) {
+    error = std::string(name) + " must be an integer in [0, 2^64)";
+    return false;
+  }
+  out = *value;
   return true;
 }
 
@@ -219,7 +241,8 @@ HttpResponse WhatIfService::handle_attack(const net::HttpRequest& request,
       !read_bool(doc, "trace", trace_requested, error)) {
     return error_response(400, error);
   }
-  const auto probe_count = static_cast<std::uint32_t>(probes);
+  const auto probe_count = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(probes, graph.num_ases()));
 
   // Per-request provenance ring: worker sims are reused across requests, so
   // the recorder must be detached again before this frame unwinds.

@@ -209,6 +209,17 @@ TEST_F(CampaignJobsTest, BadSubmissionsAre400) {
                          "{\"samples\": 10, \"target_ci\": -0.5}")
                 .status,
             400);
+  // Negative or fractional counts are rejected, not read as 0 or truncated.
+  for (const char* body : {"{\"samples\": 10, \"workers\": -1}",
+                           "{\"samples\": 1.5}",
+                           "{\"samples\": 10, \"probes\": 1e300}"}) {
+    const ClientResponse response =
+        http_request(port(), "POST", "/v1/campaign", body);
+    EXPECT_EQ(response.status, 400) << body;
+    EXPECT_NE(response.body.find("must be an integer in [0, 2^64)"),
+              std::string::npos)
+        << response.body;
+  }
 }
 
 TEST_F(CampaignJobsTest, CancelStopsARunningJobAndRepeatCancelIs409) {

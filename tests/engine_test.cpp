@@ -1,6 +1,10 @@
 // Hand-computed routing scenarios, checked against BOTH engines.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "bgp/adj_rib.hpp"
 #include "bgp/equilibrium_engine.hpp"
 #include "bgp/generation_engine.hpp"
 #include "support/error.hpp"
@@ -237,10 +241,69 @@ TEST(GenerationEngine, ResetClearsState) {
   engine.reset();
   for (AsId v = 0; v < g.num_ases(); ++v) {
     EXPECT_FALSE(engine.route(v).valid());
+    EXPECT_TRUE(engine.path_of(v).empty());
   }
   // Reusable after reset.
   engine.announce(g.require(4), Origin::Legit);
   EXPECT_EQ(engine.count_origin(Origin::Legit), 4u);
+}
+
+/// Deliver `from`'s selected route to its neighbor `to`, as the engines do,
+/// into Adj-RIB-In entry `*rib_idx` of `to` (when given).
+bool send(AdjRib& rib, AsId from, AsId to, std::uint32_t* rib_idx = nullptr) {
+  const auto nbrs = rib.graph().neighbors(from);
+  for (std::uint32_t k = 0; k < nbrs.size(); ++k) {
+    if (nbrs[k].id != to) continue;
+    const std::uint32_t idx = rib.mirror_index(rib.first_edge(from) + k, to);
+    if (rib_idx != nullptr) *rib_idx = idx;
+    return rib.deliver(from, to, idx, rib.offered(from, nbrs[k]),
+                       rib.path_id(from), nullptr);
+  }
+  ADD_FAILURE() << "not neighbors";
+  return false;
+}
+
+// Interned paths: two ids can name the same AS sequence, and an update that
+// repeats what the neighbor already announced changes nothing.
+TEST(AdjRib, UnchangedUpdateComparesPathContents) {
+  const AsGraph g = diamond();
+  AdjRib rib(g, config_for(g));
+  const AsId origin = g.require(4), provider = g.require(2);
+  rib.originate(origin, Origin::Legit);
+  const AdjRib::PathId first = rib.path_id(origin);
+  EXPECT_TRUE(send(rib, origin, provider));
+  rib.originate(origin, Origin::Legit);  // [4] again, under a new id
+  ASSERT_NE(rib.path_id(origin), first);
+  EXPECT_FALSE(send(rib, origin, provider));
+  EXPECT_EQ(rib.path_of(provider), (std::vector<AsId>{provider, origin}));
+}
+
+// Loop rejection walks the whole announced path, not just its first hops.
+TEST(AdjRib, LoopRejectionWalksTheWholePath) {
+  // A provider chain 1 > 2 > 3 > 4 > 5 where 2 is also 5's provider: the
+  // route 5 offers 2 runs through 2 itself, three hops down.
+  GraphBuilder b;
+  b.add_provider_customer(1, 2);
+  b.add_provider_customer(2, 3);
+  b.add_provider_customer(3, 4);
+  b.add_provider_customer(4, 5);
+  b.add_provider_customer(2, 5);
+  const AsGraph g = b.build();
+  AdjRib rib(g, config_for(g));
+  const AsId as1 = g.require(1), as2 = g.require(2), as3 = g.require(3),
+             as4 = g.require(4), as5 = g.require(5);
+  rib.originate(as1, Origin::Legit);
+  ASSERT_TRUE(send(rib, as1, as2));
+  ASSERT_TRUE(send(rib, as2, as3));
+  ASSERT_TRUE(send(rib, as3, as4));
+  ASSERT_TRUE(send(rib, as4, as5));
+  ASSERT_EQ(rib.path_of(as5), (std::vector<AsId>{as5, as4, as3, as2, as1}));
+  // As a customer route it would beat 2's provider route, were it accepted.
+  std::uint32_t from5 = 0;
+  EXPECT_FALSE(send(rib, as5, as2, &from5));
+  EXPECT_FALSE(rib.holds(from5));
+  EXPECT_EQ(rib.route(as2).via, as1);
+  EXPECT_EQ(rib.path_of(as2), (std::vector<AsId>{as2, as1}));
 }
 
 TEST(Engines, RejectBadArguments) {

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "bgp/generation_engine.hpp"
@@ -13,6 +16,7 @@
 #include "core/scenario.hpp"
 #include "defense/deployment.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "topology/graph_builder.hpp"
 
 namespace bgpsim {
@@ -348,6 +352,154 @@ TEST(EventEngine, LinkDelaysInRange) {
       EXPECT_GE(engine.link_delay(v, k), 0.05);
       EXPECT_LT(engine.link_delay(v, k), 0.10);
     }
+  }
+}
+
+/// Byte-wise FNV-1a over 64-bit words, the fold topology_checksum uses.
+class Fnv1a {
+ public:
+  void fold(std::uint64_t value) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      hash_ ^= (value >> shift) & 0xffull;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void fold(double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    fold(bits);
+  }
+  void fold(const Route& route) {
+    fold(static_cast<std::uint64_t>(route.origin));
+    fold(static_cast<std::uint64_t>(route.cls));
+    fold(static_cast<std::uint64_t>(route.path_len));
+    fold(static_cast<std::uint64_t>(route.via));
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+void fold_generation_run(Fnv1a& hash, const GenerationEngine& engine,
+                         const ConvergeStats& legit, const ConvergeStats& bogus,
+                         const PropagationTrace& trace) {
+  for (const ConvergeStats* stats : {&legit, &bogus}) {
+    hash.fold(std::uint64_t{stats->generations});
+    hash.fold(stats->messages_sent);
+    hash.fold(stats->messages_accepted);
+    hash.fold(stats->withdrawals);
+    hash.fold(std::uint64_t{stats->converged});
+  }
+  hash.fold(std::uint64_t{trace.frames.size()});
+  for (const GenerationFrame& frame : trace.frames) {
+    hash.fold(std::uint64_t{frame.generation});
+    hash.fold(std::uint64_t{frame.messages_sent});
+    hash.fold(std::uint64_t{frame.messages_accepted});
+    hash.fold(std::uint64_t{frame.polluted_so_far});
+    hash.fold(std::uint64_t{frame.edges.size()});
+    for (const TraceEdge& edge : frame.edges) {
+      hash.fold(std::uint64_t{edge.from});
+      hash.fold(std::uint64_t{edge.to});
+      hash.fold(std::uint64_t{edge.accepted});
+      hash.fold(static_cast<std::uint64_t>(edge.new_origin));
+    }
+  }
+  for (AsId v = 0; v < engine.graph().num_ases(); ++v) {
+    hash.fold(engine.route(v));
+    const std::vector<AsId> path = engine.path_of(v);
+    hash.fold(std::uint64_t{path.size()});
+    for (const AsId hop : path) hash.fold(std::uint64_t{hop});
+    hash.fold(std::uint64_t{engine.offered_bogus(v)});
+  }
+}
+
+// Both message-passing engines' full outputs on seeded transit attacks, one
+// FNV-1a value per attack and engine, recorded before AdjRib interned its
+// AS paths. The generation value folds three runs (plain, top-20
+// validators, forged origin): both announcements' ConvergeStats, every
+// traced frame and edge, and every AS's route, path and offered_bogus bit.
+// The event value folds two runs (plain, top-20 validators; the event
+// engine has no forged-origin path): message counts, quiescent time, routes
+// and first_bogus_time. Both engines are reused across attacks, so reset()
+// is covered too.
+TEST(MessagePassingEngines, OutputsArePinned) {
+  ScenarioParams params;
+  params.topology.total_ases = 2000;
+  params.topology.seed = 2014;
+  const Scenario scenario = Scenario::generate(params);
+  const AsGraph& g = scenario.graph();
+  const std::vector<AsId>& transits = scenario.transit();
+  const ValidatorSet top20 = to_filter_set(g, top_k_deployment(g, 20)).bitset();
+
+  GenerationEngine generation(g, scenario.policy());
+  EventEngineConfig cfg;
+  cfg.policy = scenario.policy();
+  cfg.delay_seed = 5;
+  EventEngine event(g, cfg);
+
+  // {generation value, event value} per attack.
+  const std::uint64_t pinned[][2] = {
+      {0xe7e7bb2f8c27acc1ull, 0x7521c122c96abfd9ull},
+      {0x8a5c3b0ade4ed97cull, 0xebc024679970dc21ull},
+      {0x8c9c28a41a4592a1ull, 0x85e7694bd4a4e22dull},
+      {0x0eacffdb95623ec5ull, 0xd25d3a223be90052ull},
+      {0x1e0e8495f401682cull, 0xf32f49798dbb82f2ull},
+      {0x944ffba1edfbb02aull, 0x2faeb38989234f6full},
+      {0xba2e401c249bc4e4ull, 0xdcf8114bd61d6333ull},
+      {0x8103212b3db22fc4ull, 0xfae1657ba97a9c08ull},
+      {0x5cc610dff860d0d6ull, 0x78491cac128a568eull},
+      {0x61709fd0bdd1ce91ull, 0xfe154a7ff802fc06ull},
+      {0x29666668e6688160ull, 0x947a1f54c1b066e1ull},
+      {0x20a728e6fd8110b2ull, 0x628fefbe02f92cecull},
+  };
+  Rng rng(19);
+  for (std::size_t i = 0; i < std::size(pinned); ++i) {
+    const AsId victim = static_cast<AsId>(rng.bounded(g.num_ases()));
+    AsId attacker = victim;
+    while (attacker == victim) {
+      attacker = transits[rng.bounded(transits.size())];
+    }
+
+    Fnv1a gen_hash;
+    for (int variant = 0; variant < 3; ++variant) {
+      const ValidatorSet* validators = variant == 1 ? &top20 : nullptr;
+      const AsId forged_tail = variant == 2 ? victim : kInvalidAs;
+      PropagationTrace trace;
+      generation.reset();
+      const ConvergeStats legit =
+          generation.announce(victim, Origin::Legit, validators, &trace);
+      const ConvergeStats bogus = generation.announce(
+          attacker, Origin::Attacker, validators, &trace, forged_tail);
+      fold_generation_run(gen_hash, generation, legit, bogus, trace);
+    }
+
+    Fnv1a event_hash;
+    const ValidatorSet* const event_runs[] = {nullptr, &top20};
+    for (const ValidatorSet* validators : event_runs) {
+      event.reset();
+      const EventRunStats legit =
+          event.announce(victim, Origin::Legit, 0.0, validators);
+      const EventRunStats bogus = event.announce(
+          attacker, Origin::Attacker, legit.quiescent_time + 1.0, validators);
+      for (const EventRunStats* stats : {&legit, &bogus}) {
+        event_hash.fold(stats->messages_delivered);
+        event_hash.fold(stats->messages_accepted);
+        event_hash.fold(stats->quiescent_time);
+        event_hash.fold(std::uint64_t{stats->converged});
+      }
+      for (AsId v = 0; v < g.num_ases(); ++v) {
+        event_hash.fold(event.route(v));
+        event_hash.fold(event.first_bogus_time(v));
+      }
+    }
+
+    EXPECT_EQ(gen_hash.value(), pinned[i][0])
+        << "generation engine, attack " << i << ": victim " << victim
+        << ", attacker " << attacker;
+    EXPECT_EQ(event_hash.value(), pinned[i][1])
+        << "event engine, attack " << i << ": victim " << victim
+        << ", attacker " << attacker;
   }
 }
 

@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "defense/deployment.hpp"
+#include "detect/probe_set.hpp"
 #include "topology/graph_builder.hpp"
+#include "topology/internet_gen.hpp"
 
 namespace bgpsim {
 namespace {
@@ -159,6 +165,45 @@ TEST(Metrics, DegreeHelpers) {
   EXPECT_EQ(g.asn(big[0]), 10u);
   for (std::size_t i = 1; i < big.size(); ++i) {
     EXPECT_GE(g.degree(big[i - 1]), g.degree(big[i]));
+  }
+}
+
+// top_k_by_degree selects instead of sorting the whole graph; every caller
+// still needs exactly a full sort by (degree desc, AsId asc) cut to k.
+TEST(Metrics, TopKByDegreeMatchesFullSort) {
+  InternetGenParams params;
+  params.total_ases = 3000;
+  params.seed = 5;
+  const AsGraph g = generate_internet(params);
+  const std::size_t n = g.num_ases();
+
+  std::vector<AsId> sorted(n);
+  for (AsId v = 0; v < n; ++v) sorted[v] = v;
+  std::sort(sorted.begin(), sorted.end(), [&g](AsId a, AsId b) {
+    return g.degree(a) != g.degree(b) ? g.degree(a) > g.degree(b) : a < b;
+  });
+  // Many ties, or the AsId tie-break is never exercised.
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < 100; ++i) {
+    ties += g.degree(sorted[i - 1]) == g.degree(sorted[i]);
+  }
+  ASSERT_GE(ties, 10u);
+
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{17},
+                              std::size_t{62}, std::size_t{100}, n - 1, n,
+                              n + 7}) {
+    SCOPED_TRACE(k);
+    const std::vector<AsId> expected(
+        sorted.begin(),
+        sorted.begin() + static_cast<std::ptrdiff_t>(std::min(k, n)));
+    EXPECT_EQ(top_k_by_degree(g, k), expected);
+    EXPECT_EQ(top_k_deployment(g, k).deployers, expected);
+    if (k == 0) continue;  // a probe set needs at least one probe
+    std::vector<AsId> members = expected;
+    std::sort(members.begin(), members.end());
+    const ProbeSet probes = ProbeSet::top_k(g, k);
+    EXPECT_TRUE(std::equal(probes.probes().begin(), probes.probes().end(),
+                           members.begin(), members.end()));
   }
 }
 

@@ -56,6 +56,19 @@ TEST(JsonParse, RoundTripsValues) {
   EXPECT_DOUBLE_EQ(d->as_number(), -2000.0);
 }
 
+TEST(JsonParse, AsU64FallsBackOutsideItsRange) {
+  const JsonValue doc = JsonValue::parse(
+      R"([0, 7.9, 18446744073709549568, 18446744073709551616, 1e300, -1, "7"])");
+  const std::vector<JsonValue>& items = doc.items();
+  EXPECT_EQ(items[0].as_u64(9), 0u);
+  EXPECT_EQ(items[1].as_u64(9), 7u);
+  EXPECT_EQ(items[2].as_u64(9), 18446744073709549568u);  // largest below 2^64
+  EXPECT_EQ(items[3].as_u64(9), 9u);                     // 2^64
+  EXPECT_EQ(items[4].as_u64(9), 9u);
+  EXPECT_EQ(items[5].as_u64(9), 9u);
+  EXPECT_EQ(items[6].as_u64(9), 9u);
+}
+
 TEST(JsonParse, RejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::parse("{\"a\": }"), ParseError);
   EXPECT_THROW(JsonValue::parse("[1, 2"), ParseError);

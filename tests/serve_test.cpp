@@ -374,12 +374,42 @@ TEST_F(ServeTest, AttackBadRequestBodies) {
       {"{" + pair + ", \"probes\": [1]}", "probes must be a number"},
       {"{" + pair + ", \"forged_origin\": 1}", "forged_origin must be a boolean"},
       {"{" + pair + ", \"trace\": \"yes\"}", "trace must be a boolean"},
+      // Numbers that used to wrap, truncate or alias a valid value.
+      {"{\"victim\": 4294967297, \"attacker\": 9}",
+       "victim must be an integer ASN in [0, 4294967295]"},
+      {"{\"victim\": " + std::to_string(4294967296ull + std::stoull(v)) +
+           ", \"attacker\": " + a + "}",
+       "victim must be an integer ASN in [0, 4294967295]"},
+      {"{\"victim\": 1.9, \"attacker\": 9}",
+       "victim must be an integer ASN in [0, 4294967295]"},
+      {"{\"victim\": -1, \"attacker\": " + a + "}",
+       "victim must be an integer ASN in [0, 4294967295]"},
+      {"{\"victim\": 1e300, \"attacker\": " + a + "}",
+       "victim must be an integer ASN in [0, 4294967295]"},
+      {"{" + pair + ", \"deployment\": [2.5]}",
+       "deployment must be an integer ASN in [0, 4294967295]"},
+      {"{" + pair + ", \"probes\": -1}", "probes must be an integer in [0, 2^64)"},
+      {"{" + pair + ", \"probes\": 1e300}",
+       "probes must be an integer in [0, 2^64)"},
+      {"{" + pair + ", \"deployment_top\": -3}",
+       "deployment_top must be an integer in [0, 2^64)"},
+      {"{" + pair + ", \"deployment_top\": 0.5}",
+       "deployment_top must be an integer in [0, 2^64)"},
   };
   for (const auto& [body, message] : cases) {
     const ClientResponse response = http_request(port(), "POST", "/v1/attack", body);
     EXPECT_EQ(response.status, 400) << body;
     EXPECT_EQ(response.body, "{\"error\":\"" + message + "\"}") << body;
   }
+
+  // More probes than ASes is every AS, not the count's low 32 bits (16).
+  const ClientResponse clamped = http_request(
+      port(), "POST", "/v1/attack", "{" + pair + ", \"probes\": 4294967312}");
+  ASSERT_EQ(clamped.status, 200) << clamped.body;
+  EXPECT_EQ(obs::JsonValue::parse(clamped.body)
+                .find_path({"detection", "probes"})
+                ->as_u64(),
+            topo.find("ases")->as_u64());
 }
 
 TEST_F(ServeTest, StopIsIdempotentAndDrains) {
