@@ -80,14 +80,13 @@ int main() {
   BGPSIM_PROGRESS_PHASE("ablation.probe_placement");
   std::printf("\n--- probe placement (attacks on the victim missed) ---\n");
   std::printf("  %8s %16s %16s\n", "budget", "top-degree", "greedy");
+  HijackSimulator sim = scenario.make_simulator();
   for (const std::size_t budget : {1u, 2u, 4u}) {
     const ProbeSet greedy_set(
         "greedy", advisor.greedy_probes(target, train, nullptr, budget).probes);
     const ProbeSet heuristic_set = ProbeSet::top_k(g, budget);
 
     std::uint32_t greedy_missed = 0, heuristic_missed = 0, harmful = 0;
-    HijackSimulator& sim = analyzer.simulator();
-    sim.set_validators(std::nullopt);
     for (const AsId attacker : eval) {
       if (attacker == target) continue;
       const auto result = sim.attack(target, attacker);

@@ -146,11 +146,13 @@ int main() {
     std::vector<double> latencies(n_requests, 0.0);
     std::atomic<std::size_t> failures{0};
     obs::StopWatch round_watch;
-    parallel_chunks(
-        n_requests, workers,
-        [&](unsigned client, std::size_t begin, std::size_t end) {
+    const std::size_t share = (n_requests + workers - 1) / workers;
+    parallel_for(
+        workers, workers,
+        [&](unsigned /*worker*/, std::size_t client) {
           Rng rng(derive_seed(env.seed, 1000 + client));
-          for (std::size_t i = begin; i < end; ++i) {
+          const std::size_t end = std::min(n_requests, (client + 1) * share);
+          for (std::size_t i = client * share; i < end; ++i) {
             BGPSIM_PROGRESS_TICK();
             const AsId victim = victims[rng.bounded(victims.size())];
             AsId attacker = transits[rng.bounded(transits.size())];

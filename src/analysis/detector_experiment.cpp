@@ -11,7 +11,8 @@ namespace bgpsim {
 
 namespace {
 
-/// Per-worker tallies for one probe configuration.
+/// Tallies for one probe configuration, fed one attack at a time in attack
+/// order.
 struct Accumulator {
   std::vector<std::uint32_t> histogram;
   std::vector<RunningStats> pollution_by_triggered;
@@ -22,15 +23,14 @@ struct Accumulator {
       : histogram(probe_count + 1, 0),
         pollution_by_triggered(probe_count + 1) {}
 
-  void record(const DetectionOutcome& outcome, const AttackSample& sample,
-              const AttackResult& attack, const AsGraph& graph,
-              std::size_t top_k) {
-    ++histogram[outcome.probes_triggered];
-    pollution_by_triggered[outcome.probes_triggered].add(attack.polluted_ases);
-    if (outcome.probes_triggered != 0) return;
-    missed_pollution.add(attack.polluted_ases);
+  void record(std::uint32_t triggered, const AttackSample& sample,
+              std::uint32_t pollution, const AsGraph& graph, std::size_t top_k) {
+    ++histogram[triggered];
+    pollution_by_triggered[triggered].add(pollution);
+    if (triggered != 0) return;
+    missed_pollution.add(pollution);
     const UndetectedAttack entry{graph.asn(sample.attacker),
-                                 graph.asn(sample.target), attack.polluted_ases};
+                                 graph.asn(sample.target), pollution};
     const auto pos = std::lower_bound(
         undetected.begin(), undetected.end(), entry,
         [](const UndetectedAttack& a, const UndetectedAttack& b) {
@@ -39,34 +39,14 @@ struct Accumulator {
     undetected.insert(pos, entry);
     if (undetected.size() > top_k) undetected.pop_back();
   }
-
-  void merge(const Accumulator& other, std::size_t top_k) {
-    for (std::size_t k = 0; k < histogram.size(); ++k) {
-      histogram[k] += other.histogram[k];
-      pollution_by_triggered[k].merge(other.pollution_by_triggered[k]);
-    }
-    missed_pollution.merge(other.missed_pollution);
-    undetected.insert(undetected.end(), other.undetected.begin(),
-                      other.undetected.end());
-    std::sort(undetected.begin(), undetected.end(),
-              [](const UndetectedAttack& a, const UndetectedAttack& b) {
-                if (a.pollution != b.pollution) return a.pollution > b.pollution;
-                if (a.attacker_asn != b.attacker_asn) {
-                  return a.attacker_asn < b.attacker_asn;
-                }
-                return a.target_asn < b.target_asn;
-              });
-    if (undetected.size() > top_k) undetected.resize(top_k);
-  }
 };
 
 }  // namespace
 
 DetectorExperiment::DetectorExperiment(const AsGraph& graph, SimConfig config,
                                        unsigned threads)
-    : graph_(graph), config_(config),
-      threads_(threads == 0 ? hardware_threads() : threads),
-      simulator_(graph, std::move(config)) {}
+    : graph_(graph), config_(std::move(config)),
+      threads_(threads == 0 ? hardware_threads() : threads) {}
 
 std::vector<AttackSample> DetectorExperiment::sample_transit_attacks(
     std::uint32_t count, Rng& rng) const {
@@ -89,44 +69,34 @@ std::vector<DetectorCaseResult> DetectorExperiment::run(
   BGPSIM_TIMED_SCOPE("detector.experiment");
   BGPSIM_COUNTER_ADD("detect.attack_samples", attacks.size());
   BGPSIM_PROGRESS_PHASE("detector.experiment");
+  // Each attack writes its pollution and the probes it triggered in every
+  // set into its own slots; the fold below feeds them to the accumulators in
+  // attack order, so the tables are the same at any thread count.
+  const std::size_t sets = probe_sets.size();
+  std::vector<std::uint32_t> pollution(attacks.size());
+  std::vector<std::uint32_t> triggered(attacks.size() * sets);
+  const std::size_t workers = std::min<std::size_t>(threads_, attacks.size());
+  std::vector<HijackSimulator> sims;
+  sims.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) sims.emplace_back(graph_, config_);
+  parallel_for(attacks.size(), static_cast<unsigned>(workers),
+               [&](unsigned worker, std::size_t i) {
+                 HijackSimulator& sim = sims[worker];
+                 pollution[i] =
+                     sim.attack(attacks[i].target, attacks[i].attacker).polluted_ases;
+                 for (std::size_t c = 0; c < sets; ++c) {
+                   triggered[i * sets + c] =
+                       evaluate_detection(sim.routes(), probe_sets[c]).probes_triggered;
+                 }
+               });
+
   std::vector<Accumulator> totals;
-  totals.reserve(probe_sets.size());
+  totals.reserve(sets);
   for (const ProbeSet& probes : probe_sets) totals.emplace_back(probes.size());
-
-  const auto run_range = [&](HijackSimulator& sim,
-                             std::vector<Accumulator>& accs, std::size_t begin,
-                             std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const AttackSample& sample = attacks[i];
-      const AttackResult attack = sim.attack(sample.target, sample.attacker);
-      const RouteTable& routes = sim.routes();
-      for (std::size_t c = 0; c < probe_sets.size(); ++c) {
-        accs[c].record(evaluate_detection(routes, probe_sets[c]), sample, attack,
-                       graph_, top_k);
-      }
-    }
-  };
-
-  const unsigned workers = std::min<unsigned>(
-      threads_, static_cast<unsigned>(std::max<std::size_t>(1, attacks.size() / 64)));
-  if (workers <= 1) {
-    run_range(simulator_, totals, 0, attacks.size());
-  } else {
-    std::vector<std::vector<Accumulator>> partials(workers);
-    for (auto& partial : partials) {
-      for (const ProbeSet& probes : probe_sets) {
-        partial.emplace_back(probes.size());
-      }
-    }
-    parallel_chunks(attacks.size(), workers,
-                    [&](unsigned w, std::size_t begin, std::size_t end) {
-                      HijackSimulator sim(graph_, config_);
-                      run_range(sim, partials[w], begin, end);
-                    });
-    for (const auto& partial : partials) {
-      for (std::size_t c = 0; c < partial.size(); ++c) {
-        totals[c].merge(partial[c], top_k);
-      }
+  for (std::size_t i = 0; i < attacks.size(); ++i) {
+    for (std::size_t c = 0; c < sets; ++c) {
+      totals[c].record(triggered[i * sets + c], attacks[i], pollution[i], graph_,
+                       top_k);
     }
   }
 

@@ -49,8 +49,9 @@ struct DetectorCaseResult {
 
 class DetectorExperiment {
  public:
-  /// `threads` > 1 evaluates attacks on a worker pool (one simulator per
-  /// worker); results are identical to the single-threaded run.
+  /// run() evaluates attacks on up to `threads` workers (parallel_for), one
+  /// simulator each; results are identical at any thread count. 0 = use
+  /// hardware_concurrency.
   DetectorExperiment(const AsGraph& graph, SimConfig config, unsigned threads = 1);
 
   /// Draw `count` attacker/target pairs uniformly from the transit ASes
@@ -67,7 +68,6 @@ class DetectorExperiment {
   const AsGraph& graph_;
   SimConfig config_;
   unsigned threads_;
-  HijackSimulator simulator_;
 };
 
 }  // namespace bgpsim

@@ -167,8 +167,8 @@ CampaignResult run_campaign(const Scenario& scenario,
   result.probes = spec.probes;
 
   // A round's items: stratum s owns [offsets[s], offsets[s + 1]), its
-  // samples next, next + 1, ... in index order. Workers pull items from one
-  // cursor and write each outcome into its own slot; after the join the
+  // samples next, next + 1, ... in index order. Workers claim items through
+  // parallel_for and write each outcome into its own slot; after the join the
   // driver folds the slots into the estimators in item order, so every
   // stratum's estimator sees its samples in index order whatever the
   // interleaving.
@@ -187,40 +187,32 @@ CampaignResult run_campaign(const Scenario& scenario,
     }
     outcomes.resize(round_size);
 
-    // A worker checks `cancel` before claiming an item and always finishes
-    // what it claims, so the finished items are exactly the prefix
-    // [0, min(cursor, round_size)). Exceptions must not escape
-    // parallel_chunks' fn, and the engine calls below don't throw on any
-    // in-range input, so the body is plain straight-line code.
-    std::atomic<std::size_t> cursor{0};
-    const auto active = static_cast<unsigned>(std::min(sims.size(), round_size));
-    parallel_chunks(
-        active, active,
-        [&](unsigned worker, std::size_t /*begin*/, std::size_t /*end*/) {
+    // Exceptions must not escape parallel_for's fn, and the engine calls
+    // below don't throw on any in-range input, so the body is plain
+    // straight-line code. A cancel leaves the finished prefix
+    // [0, finished) of the round.
+    const std::size_t finished = parallel_for(
+        round_size, static_cast<unsigned>(sims.size()),
+        [&](unsigned worker, std::size_t k) {
           HijackSimulator& sim = *sims[worker];
-          std::size_t s = 0;
-          for (;;) {
-            if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-              break;
-            }
-            const std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
-            if (k >= round_size) break;
-            while (offsets[s + 1] <= k) ++s;  // a worker's claims only grow
-            const StratumRun& run = runs[s];
-            const SamplePair pair =
-                sampler.draw(*run.stratum, run.index, run.next + (k - offsets[s]));
-            const AttackResult attack = sim.attack(pair.victim, pair.attacker);
-            const DetectionOutcome detection =
-                probes ? evaluate_detection(sim.routes(), *probes)
-                       : DetectionOutcome{};
-            outcomes[k] = {pair.reservoir_word, attack.polluted_ases,
-                           detection.first_generation_proxy,
-                           sim.last_attack_warm(), detection.detected()};
-          }
-        });
+          // k's stratum: the last s with offsets[s] <= k, which skips empty
+          // strata (their offset equals the next stratum's).
+          const auto s = static_cast<std::size_t>(
+              std::upper_bound(offsets.begin(), offsets.end(), k) -
+              offsets.begin() - 1);
+          const StratumRun& run = runs[s];
+          const SamplePair pair =
+              sampler.draw(*run.stratum, run.index, run.next + (k - offsets[s]));
+          const AttackResult attack = sim.attack(pair.victim, pair.attacker);
+          const DetectionOutcome detection =
+              probes ? evaluate_detection(sim.routes(), *probes)
+                     : DetectionOutcome{};
+          outcomes[k] = {pair.reservoir_word, attack.polluted_ases,
+                         detection.first_generation_proxy,
+                         sim.last_attack_warm(), detection.detected()};
+        },
+        cancel);
 
-    const std::size_t finished =
-        std::min(cursor.load(std::memory_order_relaxed), round_size);
     for (std::size_t s = 0; s < runs.size(); ++s) {
       StratumRun& run = runs[s];
       const std::size_t end = std::min(offsets[s + 1], finished);

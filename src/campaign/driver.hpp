@@ -7,9 +7,9 @@
 // estimators (campaign/estimator.hpp). Work proceeds in synchronized
 // *rounds*: each round extends every stratum's sample range by its quota,
 // and the unit of parallel work is one sample. Up to `workers` threads
-// (bgpsim::parallel_chunks), each with its own HijackSimulator for the whole
-// campaign, pull the round's samples from one shared cursor and write each
-// outcome into that sample's slot of a round buffer. After the join the
+// (bgpsim::parallel_for), each with its own HijackSimulator for the whole
+// campaign, claim the round's samples one at a time and write each outcome
+// into that sample's slot of a round buffer. After the join the
 // driver thread folds the slots into the per-stratum estimators in
 // sample-index order, and the pooled CI half-width decides whether to stop
 // early. A sample's outcome is a pure function of (seed, stratum, index) —

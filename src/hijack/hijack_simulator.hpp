@@ -135,8 +135,6 @@ class HijackSimulator {
   /// compute when its work budget trips. Pass nullptr to detach.
   void attach_baseline(std::shared_ptr<const store::BaselineStore> baselines);
 
-  bool has_baseline() const { return baselines_ != nullptr; }
-
   /// Whether the most recent attack was answered from a warm baseline.
   bool last_attack_warm() const { return last_attack_warm_; }
 

@@ -1,9 +1,6 @@
 #include "obs/eventlog.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <csignal>
-#include <cstdlib>
 
 #include "obs/config.hpp"
 
@@ -15,31 +12,6 @@ std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::atomic<bool> g_handlers_installed{false};
-
-// Every record is flushed as it is written, so there is nothing buffered to
-// rescue here (and fstream calls are not async-signal-safe anyway): just
-// re-deliver the signal with its default disposition so a Ctrl-C still kills
-// the sweep — leaving a log whose only possible damage is a torn final line.
-void eventlog_signal_handler(int signum) {
-  std::signal(signum, SIG_DFL);  // bgpsim-lint: allow(signal-safety)
-  std::raise(signum);
-}
-
-// Called once, on the first successful open. The atexit flush covers exits
-// that bypass static destruction order; the SIGINT hook is only installed
-// when the process still has the default disposition (never clobber a host
-// application's handler).
-void install_crash_safety_handlers() {
-  if (g_handlers_installed.exchange(true, std::memory_order_acq_rel)) return;
-  std::atexit([] { EventLogSink::instance().flush(); });
-  const auto previous =
-      std::signal(SIGINT, &eventlog_signal_handler);  // bgpsim-lint: allow(signal-safety)
-  if (previous != SIG_DFL && previous != SIG_ERR) {
-    std::signal(SIGINT, previous);  // bgpsim-lint: allow(signal-safety)
-  }
 }
 
 }  // namespace
@@ -67,7 +39,6 @@ void EventLogSink::set_output(const std::string& path) {
   // leaves the log disabled.
   out_ = open_sink_file(path);
   enabled_.store(out_.is_open(), std::memory_order_relaxed);
-  if (out_.is_open()) install_crash_safety_handlers();
 }
 
 double EventLogSink::now_seconds() const {

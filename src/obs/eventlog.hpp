@@ -58,7 +58,7 @@ class EventLogSink {
 
   /// Flush buffered lines to disk. write_record already flushes each line
   /// (crash safety: a killed sweep leaves at worst one torn trailing line);
-  /// this remains for set_output("") and the atexit/destructor paths.
+  /// this remains for set_output("") and the destructor.
   void flush() BGPSIM_EXCLUDES(mutex_);
 
   ~EventLogSink();

@@ -56,7 +56,6 @@ class RunReport {
   }
 
   const std::string& name() const { return name_; }
-  std::size_t row_count() const { return rows_.size(); }
 
   /// Serialize the report, embedding the current registry snapshot under
   /// "metrics" (including every time.* histogram the run populated).

@@ -55,7 +55,6 @@ void QueryServer::handle_connection(unsigned index, int conn) {
       BGPSIM_COUNTER_ADD("serve.requests", 1);
       ctx.request_id =
           make_request_id(request.header("x-request-id"), index);
-      ctx.route = route_slug(request.target);
       response = router_.dispatch(request, ctx);
       break;
     case net::HttpReadStatus::TooLarge:

@@ -9,11 +9,6 @@
 namespace bgpsim::serve {
 namespace {
 
-std::string_view path_of(std::string_view target) {
-  const std::size_t query = target.find('?');
-  return query == std::string_view::npos ? target : target.substr(0, query);
-}
-
 bool id_char_ok(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
          (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
@@ -43,22 +38,6 @@ void ServeStats::reset() {
 ServeStats& serve_stats() {
   static ServeStats stats;
   return stats;
-}
-
-const char* route_slug(std::string_view target) {
-  const std::string_view path = path_of(target);
-  if (path == "/v1/attack") return "attack";
-  if (path == "/v1/topology") return "topology";
-  if (path == "/v1/campaign") return "campaign";
-  // One slug for every /v1/campaign/<id> target: per-id slugs would mint a
-  // metric series (and histogram) per job and explode cardinality.
-  if (path.size() > 13 && path.substr(0, 13) == "/v1/campaign/") {
-    return "campaign_job";
-  }
-  if (path == "/metrics") return "metrics";
-  if (path == "/healthz") return "healthz";
-  if (path == "/statusz") return "statusz";
-  return "other";
 }
 
 const char* status_class(int status) {

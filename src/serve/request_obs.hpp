@@ -33,12 +33,13 @@
 namespace bgpsim::serve {
 
 /// Per-request state handed through the router to handlers. The server
-/// fills identity (request_id, worker, route); the attack handler reports
-/// engine facts back (warm, generations) for the access log.
+/// fills identity (request_id, worker), Router::dispatch the route; the
+/// attack handler reports engine facts back (warm, generations) for the
+/// access log.
 struct RequestContext {
   std::string request_id;
   unsigned worker = 0;
-  const char* route = "other";  ///< metric label; one of route_slug()'s slugs
+  const char* route = "other";  ///< metric label: the matched route's (Router::add)
   bool attack = false;          ///< true once /v1/attack ran the engine
   bool warm = false;
   std::uint64_t generations = 0;
@@ -68,11 +69,6 @@ struct ServeStats {
 
 /// Process-wide instance (the serve stack runs one server per process).
 ServeStats& serve_stats();
-
-/// Stable metric label for a request target: "attack", "topology",
-/// "metrics", "healthz", "statusz", or "other". Query strings are ignored.
-/// Returns string literals, so the result outlives every context.
-const char* route_slug(std::string_view target);
 
 /// "2xx" / "4xx" / "5xx" / "other" for a response status code.
 const char* status_class(int status);

@@ -6,15 +6,6 @@
 
 namespace bgpsim::serve {
 
-namespace {
-
-std::string_view path_of(std::string_view target) {
-  const std::size_t query = target.find('?');
-  return query == std::string_view::npos ? target : target.substr(0, query);
-}
-
-}  // namespace
-
 HttpResponse error_response(int status, std::string_view message) {
   obs::JsonWriter json;
   json.begin_object();
@@ -23,65 +14,74 @@ HttpResponse error_response(int status, std::string_view message) {
   return HttpResponse{status, "application/json", std::move(json).str()};
 }
 
-void Router::add(std::string method, std::string path, Handler handler) {
-  for (Entry& entry : routes_) {
-    if (!entry.prefix && entry.method == method && entry.path == path) {
-      entry.handler = std::move(handler);
-      return;
-    }
-  }
-  routes_.push_back(
-      Entry{std::move(method), std::move(path), std::move(handler), false});
+std::string_view path_of(std::string_view target) {
+  const std::size_t query = target.find('?');
+  return query == std::string_view::npos ? target : target.substr(0, query);
 }
 
-void Router::add_prefix(std::string method, std::string prefix, Handler handler) {
-  for (Entry& entry : routes_) {
-    if (entry.prefix && entry.method == method && entry.path == prefix) {
-      entry.handler = std::move(handler);
+void Router::add(std::string method, std::string path, const char* route,
+                 Handler handler) {
+  insert(Entry{std::move(method), std::move(path), route, std::move(handler),
+               false});
+}
+
+void Router::add_prefix(std::string method, std::string prefix,
+                        const char* route, Handler handler) {
+  insert(Entry{std::move(method), std::move(prefix), route, std::move(handler),
+               true});
+}
+
+void Router::insert(Entry entry) {
+  for (Entry& existing : routes_) {
+    if (existing.prefix == entry.prefix && existing.method == entry.method &&
+        existing.path == entry.path) {
+      existing = std::move(entry);
       return;
     }
   }
-  routes_.push_back(
-      Entry{std::move(method), std::move(prefix), std::move(handler), true});
+  routes_.push_back(std::move(entry));
 }
 
 HttpResponse Router::dispatch(const net::HttpRequest& request,
                               RequestContext& ctx) const {
   const std::string_view path = path_of(request.target);
-  bool path_known = false;
+  const Entry* hit = nullptr;    // path and method match
+  const Entry* known = nullptr;  // path matches; a 405 when nothing hits
   for (const Entry& entry : routes_) {
     if (entry.prefix || entry.path != path) continue;
-    path_known = true;
-    if (entry.method != request.method) continue;
-    try {
-      return entry.handler(request, ctx);
-    } catch (const std::exception& e) {
-      return error_response(500, e.what());
+    if (known == nullptr) known = &entry;
+    if (entry.method == request.method) {
+      hit = &entry;
+      break;
     }
   }
   // Prefix routes: exact matches above win; among prefixes the longest
   // matching one does. A prefix hit with the wrong method still reports 405
   // so clients learn the verb set, like exact routes do.
-  const Entry* best = nullptr;
-  for (const Entry& entry : routes_) {
-    if (!entry.prefix) continue;
-    if (path.size() < entry.path.size() ||
-        path.substr(0, entry.path.size()) != entry.path) {
-      continue;
-    }
-    path_known = true;
-    if (entry.method != request.method) continue;
-    if (best == nullptr || entry.path.size() > best->path.size()) best = &entry;
-  }
-  if (best != nullptr) {
-    try {
-      return best->handler(request, ctx);
-    } catch (const std::exception& e) {
-      return error_response(500, e.what());
+  if (hit == nullptr) {
+    for (const Entry& entry : routes_) {
+      if (!entry.prefix || !path.starts_with(entry.path)) continue;
+      if (known == nullptr ||
+          (known->prefix && entry.path.size() > known->path.size())) {
+        known = &entry;
+      }
+      if (entry.method == request.method &&
+          (hit == nullptr || entry.path.size() > hit->path.size())) {
+        hit = &entry;
+      }
     }
   }
-  if (path_known) return error_response(405, "method not allowed");
-  return error_response(404, "no such endpoint");
+  if (hit == nullptr) {
+    ctx.route = known != nullptr ? known->route : "other";
+    return known != nullptr ? error_response(405, "method not allowed")
+                            : error_response(404, "no such endpoint");
+  }
+  ctx.route = hit->route;
+  try {
+    return hit->handler(request, ctx);
+  } catch (const std::exception& e) {
+    return error_response(500, e.what());
+  }
 }
 
 }  // namespace bgpsim::serve

@@ -58,9 +58,7 @@ AsId resolve_asn(const AsGraph& graph, const obs::JsonValue& value,
 /// Extract the numeric job id from a /v1/campaign/<id> target ("c7" or
 /// bare "7"); 0 = malformed (never a valid id — ids are dense from 1).
 std::uint64_t parse_job_id(std::string_view target) {
-  const std::size_t query = target.find('?');
-  std::string_view path =
-      query == std::string_view::npos ? target : target.substr(0, query);
+  const std::string_view path = path_of(target);
   constexpr std::string_view kPrefix = "/v1/campaign/";
   if (path.size() <= kPrefix.size()) return 0;
   std::string_view tail = path.substr(kPrefix.size());
@@ -146,35 +144,38 @@ WhatIfService::WhatIfService(store::Snapshot snapshot, unsigned workers)
 
 Router WhatIfService::make_router() {
   Router router;
-  router.add("POST", "/v1/attack",
+  router.add("POST", "/v1/attack", "attack",
              [this](const net::HttpRequest& request, RequestContext& ctx) {
                return handle_attack(request, ctx);
              });
-  router.add("GET", "/v1/topology",
+  router.add("GET", "/v1/topology", "topology",
              [this](const net::HttpRequest&, RequestContext&) {
                return handle_topology();
              });
-  router.add("POST", "/v1/campaign",
+  router.add("POST", "/v1/campaign", "campaign",
              [this](const net::HttpRequest& request, RequestContext&) {
                return handle_campaign_submit(request);
              });
-  router.add_prefix("GET", "/v1/campaign/",
+  router.add_prefix("GET", "/v1/campaign/", "campaign_job",
                     [this](const net::HttpRequest& request, RequestContext&) {
                       return handle_campaign_get(request);
                     });
-  router.add_prefix("DELETE", "/v1/campaign/",
+  router.add_prefix("DELETE", "/v1/campaign/", "campaign_job",
                     [this](const net::HttpRequest& request, RequestContext&) {
                       return handle_campaign_cancel(request);
                     });
-  router.add("GET", "/metrics", [](const net::HttpRequest&, RequestContext&) {
-    return HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
-                        obs::to_prom_text(obs::registry().snapshot())};
-  });
-  router.add("GET", "/healthz", [](const net::HttpRequest&, RequestContext&) {
-    // Liveness only: no locks, no engine state — safe to probe at any rate.
-    return HttpResponse{200, "text/plain", "ok\n"};
-  });
-  router.add("GET", "/statusz",
+  router.add("GET", "/metrics", "metrics",
+             [](const net::HttpRequest&, RequestContext&) {
+               return HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
+                                   obs::to_prom_text(obs::registry().snapshot())};
+             });
+  router.add("GET", "/healthz", "healthz",
+             [](const net::HttpRequest&, RequestContext&) {
+               // Liveness only: no locks, no engine state — safe to probe at
+               // any rate.
+               return HttpResponse{200, "text/plain", "ok\n"};
+             });
+  router.add("GET", "/statusz", "statusz",
              [this](const net::HttpRequest&, RequestContext&) {
                return handle_statusz();
              });
@@ -321,17 +322,7 @@ HttpResponse WhatIfService::handle_topology() const {
   const AsGraph& graph = scenario_.graph();
   obs::JsonWriter json;
   json.begin_object();
-  json.field("format_version", static_cast<std::uint64_t>(info_.format_version));
-  json.field("topology_checksum", std::to_string(info_.topology_checksum));
-  json.field("ases", static_cast<std::uint64_t>(info_.ases));
-  json.field("links", info_.links);
-  json.field("regions", static_cast<std::uint64_t>(info_.regions));
-  json.field("baseline_targets",
-             static_cast<std::uint64_t>(info_.baseline_targets));
-  json.field("seed", info_.params.seed);
-  json.field("scale", static_cast<std::uint64_t>(info_.params.scale));
-  json.field("tier1_shortest_path", info_.params.tier1_shortest_path);
-  json.field("stub_first_hop_filter", info_.params.stub_first_hop_filter);
+  store::write_snapshot_info(json, info_);
 
   // Sample ASNs so a client (or the CI smoke test) can pick attack
   // endpoints without downloading the graph: baseline targets make warm

@@ -406,33 +406,27 @@ SnapshotInfo describe_snapshot(const Snapshot& snapshot) {
   return info;
 }
 
+void write_snapshot_info(obs::JsonWriter& json, const SnapshotInfo& info) {
+  json.field("format_version", static_cast<std::uint64_t>(info.format_version));
+  json.field("topology_checksum", std::to_string(info.topology_checksum));
+  json.field("ases", static_cast<std::uint64_t>(info.ases));
+  json.field("links", info.links);
+  json.field("regions", static_cast<std::uint64_t>(info.regions));
+  json.field("baseline_targets", static_cast<std::uint64_t>(info.baseline_targets));
+  json.field("seed", info.params.seed);
+  json.field("scale", static_cast<std::uint64_t>(info.params.scale));
+  json.field("tier1_shortest_path", info.params.tier1_shortest_path);
+  json.field("stub_first_hop_filter", info.params.stub_first_hop_filter);
+  json.field("tier2_min_degree_full_scale",
+             static_cast<std::uint64_t>(info.params.tier2_min_degree_full_scale));
+}
+
 std::string snapshot_info_json(const SnapshotInfo& info) {
   obs::JsonWriter json;
   json.begin_object();
-  json.key("format_version");
-  json.value(static_cast<std::uint64_t>(info.format_version));
-  json.key("topology_checksum");
-  json.value(std::to_string(info.topology_checksum));
-  json.key("ases");
-  json.value(static_cast<std::uint64_t>(info.ases));
-  json.key("links");
-  json.value(info.links);
-  json.key("regions");
-  json.value(static_cast<std::uint64_t>(info.regions));
-  json.key("baseline_targets");
-  json.value(static_cast<std::uint64_t>(info.baseline_targets));
-  json.key("seed");
-  json.value(info.params.seed);
-  json.key("scale");
-  json.value(static_cast<std::uint64_t>(info.params.scale));
-  json.key("tier1_shortest_path");
-  json.value(info.params.tier1_shortest_path);
-  json.key("stub_first_hop_filter");
-  json.value(info.params.stub_first_hop_filter);
-  json.key("tier2_min_degree_full_scale");
-  json.value(static_cast<std::uint64_t>(info.params.tier2_min_degree_full_scale));
+  write_snapshot_info(json, info);
   json.end_object();
-  return json.str();
+  return std::move(json).str();
 }
 
 }  // namespace bgpsim::store

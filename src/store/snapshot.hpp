@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/json.hpp"
 #include "store/baseline.hpp"
 #include "support/error.hpp"
 #include "topology/as_graph.hpp"
@@ -108,7 +109,11 @@ struct SnapshotInfo {
 
 SnapshotInfo describe_snapshot(const Snapshot& snapshot);
 
-/// The summary as a JSON object (serve embeds it into /v1/topology).
+/// Write the summary's fields into an open JSON object: the one encoder
+/// behind `snapshot info --json` and serve's /v1/topology.
+void write_snapshot_info(obs::JsonWriter& json, const SnapshotInfo& info);
+
+/// The summary as one JSON object (`snapshot info --json`).
 std::string snapshot_info_json(const SnapshotInfo& info);
 
 }  // namespace bgpsim::store

@@ -10,25 +10,39 @@ unsigned hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-void parallel_chunks(
+std::size_t parallel_for(
     std::size_t n, unsigned workers,
-    const std::function<void(unsigned worker, std::size_t begin,
-                             std::size_t end)>& fn) {
-  if (n == 0) return;
-  if (workers <= 1) {
-    fn(0, 0, n);
-    return;
+    const std::function<void(unsigned worker, std::size_t i)>& fn,
+    const std::atomic<bool>* stop) {
+  const auto stopped = [stop] {
+    return stop != nullptr && stop->load(std::memory_order_relaxed);
+  };
+  const auto threads = static_cast<unsigned>(
+      std::min<std::size_t>(std::max(workers, 1u), n));
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (stopped()) return i;
+      fn(0, i);
+    }
+    return n;
   }
+
+  // fetch_add hands each index to exactly one worker, in increasing order,
+  // so the claimed indices are always the prefix [0, cursor).
+  std::atomic<std::size_t> cursor{0};
   std::vector<std::thread> pool;
-  pool.reserve(workers);
-  const std::size_t chunk = (n + workers - 1) / workers;
-  for (unsigned w = 0; w < workers; ++w) {
-    const std::size_t begin = static_cast<std::size_t>(w) * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    pool.emplace_back([&fn, w, begin, end] { fn(w, begin, end); });
+  pool.reserve(threads);
+  for (unsigned w = 0; w < threads; ++w) {
+    pool.emplace_back([&, w] {
+      while (!stopped()) {
+        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) break;
+        fn(w, i);
+      }
+    });
   }
   for (auto& worker : pool) worker.join();
+  return std::min(cursor.load(std::memory_order_relaxed), n);
 }
 
 }  // namespace bgpsim

@@ -3,18 +3,23 @@
 // Policy (enforced by bgpsim-lint's thread-policy rule): the simulation
 // engines are deterministic and single-threaded; only this helper, the obs
 // heartbeat sampler, and the net /metrics server may construct threads.
-// Analysis sweeps parallelize by giving each worker its own simulator over a
-// disjoint index range — identical results to a serial run, no shared
-// mutable state — and this header is where that pattern lives.
+// Batches of independent attacks (sweeps, detector runs, campaign rounds)
+// parallelize by giving each worker its own simulator, letting workers claim
+// one item at a time, and writing each item's outcome into that item's own
+// slot; the caller folds the slots in index order after the join, so the
+// result is the same at any worker count. This header is where that pattern
+// lives.
 //
-// There is deliberately no lock here to annotate: workers share nothing but
-// the (const) callback, and the join in parallel_chunks is the only
-// synchronization point. Anything the workers *do* share (obs counters,
-// progress ticks) must be atomics with explicit memory orders — enforced by
-// bgpsim-lint's seq-cst-atomic rule and exercised by the contended-counter
-// battery in tests/concurrency_stress.
+// There is deliberately no lock here to annotate: workers share the (const)
+// callback, one relaxed claim cursor, and the optional stop flag, and the
+// join in parallel_for is the only synchronization point for their writes.
+// Anything else the workers share (obs counters, progress ticks) must be
+// atomics with explicit memory orders — enforced by bgpsim-lint's
+// seq-cst-atomic rule and exercised by the contended-counter battery in
+// tests/concurrency_stress.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 
@@ -23,13 +28,17 @@ namespace bgpsim {
 /// Threads the host machine offers; always >= 1.
 unsigned hardware_threads();
 
-/// Split [0, n) into up to `workers` contiguous chunks and run
-/// fn(worker, begin, end) for each on its own thread; joins them all before
-/// returning. With workers <= 1 (or n == 0 trivially) runs inline on the
-/// calling thread as fn(0, 0, n). Exceptions must not escape fn.
-void parallel_chunks(
+/// Run fn(worker, i) once for each index i in [0, n) on min(workers, n)
+/// threads (worker in [0, that count)), joining them all before returning.
+/// Each thread claims the next index from one shared cursor, so uneven items
+/// balance themselves; with one thread (workers <= 1) the loop runs inline
+/// on the calling thread. A worker checks `stop` before each claim and
+/// always finishes the index it claimed, so the indices that ran are exactly
+/// the prefix [0, result); the result is n unless `stop` was raised.
+/// Exceptions must not escape fn.
+std::size_t parallel_for(
     std::size_t n, unsigned workers,
-    const std::function<void(unsigned worker, std::size_t begin,
-                             std::size_t end)>& fn);
+    const std::function<void(unsigned worker, std::size_t i)>& fn,
+    const std::atomic<bool>* stop = nullptr);
 
 }  // namespace bgpsim

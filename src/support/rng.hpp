@@ -88,14 +88,6 @@ class Rng {
   /// Bernoulli trial with probability p of returning true.
   bool chance(double p) { return uniform() < p; }
 
-  /// Geometric-ish positive integer: 1 + number of successes with prob p.
-  /// Used for small structural counts (provider multiplicity, chain lengths).
-  int geometric_plus_one(double p, int cap) {
-    int value = 1;
-    while (value < cap && chance(p)) ++value;
-    return value;
-  }
-
   /// Sample from a discrete distribution given cumulative weights
   /// (non-decreasing, last element is the total). Returns an index.
   std::size_t sample_cumulative(const std::vector<double>& cumulative) {

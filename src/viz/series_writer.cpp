@@ -25,22 +25,6 @@ void write_ccdf_family_csv(const std::string& path,
   }
 }
 
-void write_deployment_csv(const std::string& path,
-                          const std::vector<DeploymentOutcome>& outcomes,
-                          std::uint32_t over_threshold) {
-  CsvWriter csv(path);
-  csv.row({"label", "deployed_ases", "avg_pollution", "max_pollution",
-           "attackers_over_threshold"});
-  for (const DeploymentOutcome& outcome : outcomes) {
-    csv.field(std::string_view{outcome.label})
-        .field(std::uint64_t{outcome.deployed_ases})
-        .field(outcome.curve.stats.mean())
-        .field(outcome.curve.stats.max())
-        .field(std::uint64_t{outcome.curve.attackers_at_least(over_threshold)});
-    csv.end_row();
-  }
-}
-
 void write_detector_csv(const std::string& path,
                         const std::vector<DetectorCaseResult>& cases) {
   CsvWriter csv(path);

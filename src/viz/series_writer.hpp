@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/deployment_experiment.hpp"
 #include "analysis/detector_experiment.hpp"
 #include "analysis/vulnerability.hpp"
 
@@ -16,11 +15,6 @@ void write_ccdf_csv(const std::string& path, const VulnerabilityCurve& curve);
 /// Several labeled curves in long format: label,pollution_threshold,count.
 void write_ccdf_family_csv(const std::string& path,
                            const std::vector<VulnerabilityCurve>& curves);
-
-/// Deployment comparison (figures 5/6): label,deployed,avg,max,attackers_over.
-void write_deployment_csv(const std::string& path,
-                          const std::vector<DeploymentOutcome>& outcomes,
-                          std::uint32_t over_threshold);
 
 /// Figure 7 histogram: label,probes_triggered,attacks,avg_pollution.
 void write_detector_csv(const std::string& path,

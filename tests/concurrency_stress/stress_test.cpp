@@ -9,11 +9,12 @@
 //     drain, on the shared accept loop (net::LoopbackServer),
 //   - heartbeat start/stop churn against metric writers and the Prometheus
 //     exposition-file rewrite (regression: the stop/join ordering race),
-//   - event-log writers against flush()/set_output() churn (regression: the
-//     signal-path flush racing a writer mid-record),
+//   - event-log writers against flush()/set_output() churn (regression: a
+//     flush racing a writer mid-record),
 //   - profiler start/stop churn while SIGPROF samples land in busy threads
 //     (the stop-side disarm/unpublish/drain ordering),
-//   - parallel_chunks workers contending on shared relaxed atomics,
+//   - parallel_for workers contending on shared relaxed atomics, and a stop
+//     raised from inside a worker,
 //   - campaign workers pulling samples from one relaxed cursor into a shared
 //     round buffer while a cancel lands mid-round,
 //   - concurrent metric registration against registry snapshots.
@@ -423,8 +424,8 @@ TEST(ProfilerStress, StartStopChurnVsBusyThreads) {
 // Event log: writers vs flush()/set_output() churn
 // ---------------------------------------------------------------------------
 
-// Regression for the flush race: the SIGINT path flushes the sink while
-// writer threads may be mid-record. Every surviving line must be a complete
+// Regression for the flush race: flush() and set_output() run while writer
+// threads may be mid-record. Every surviving line must be a complete
 // JSON object — a torn line means flush and write interleaved inside the
 // stream.
 TEST(EventLogStress, WritersRaceFlushAndRetargeting) {
@@ -476,26 +477,26 @@ TEST(EventLogStress, WritersRaceFlushAndRetargeting) {
 }
 
 // ---------------------------------------------------------------------------
-// parallel_chunks: deliberately contended shared counters
+// parallel_for: deliberately contended shared counters, stop, inline runs
 // ---------------------------------------------------------------------------
 
-TEST(ParallelChunksStress, ContendedRelaxedCountersSumExactly) {
+TEST(ParallelForStress, ContendedRelaxedCountersSumExactly) {
   constexpr std::size_t kItems = 20000;
   constexpr unsigned kWorkers = 4;
   std::atomic<std::uint64_t> sum{0};
   std::vector<std::atomic<std::uint8_t>> visits(kItems);
   for (auto& v : visits) v.store(0, std::memory_order_relaxed);
 
-  parallel_chunks(kItems, kWorkers,
-                  [&](unsigned /*worker*/, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      sum.fetch_add(i, std::memory_order_relaxed);
-                      visits[i].fetch_add(1, std::memory_order_relaxed);
-                    }
-                  });
+  const std::size_t finished =
+      parallel_for(kItems, kWorkers, [&](unsigned /*worker*/, std::size_t i) {
+        sum.fetch_add(i, std::memory_order_relaxed);
+        visits[i].fetch_add(1, std::memory_order_relaxed);
+      });
 
-  // The join in parallel_chunks is the only synchronization point; after it,
-  // relaxed counts must still be exact (atomicity) and coverage disjoint.
+  // The join in parallel_for is the only synchronization point; after it,
+  // relaxed counts must still be exact (atomicity) and each index must have
+  // run exactly once.
+  EXPECT_EQ(finished, kItems);
   const std::uint64_t expected =
       static_cast<std::uint64_t>(kItems) * (kItems - 1) / 2;
   EXPECT_EQ(sum.load(std::memory_order_relaxed), expected);
@@ -504,16 +505,72 @@ TEST(ParallelChunksStress, ContendedRelaxedCountersSumExactly) {
   }
 }
 
-TEST(ParallelChunksStress, BackToBackFanOutsReuseCleanly) {
+TEST(ParallelForStress, BackToBackFanOutsReuseCleanly) {
   std::atomic<std::uint64_t> total{0};
   for (int round = 0; round < 6; ++round) {
-    parallel_chunks(500, 3,
-                    [&](unsigned /*worker*/, std::size_t begin,
-                        std::size_t end) {
-                      total.fetch_add(end - begin, std::memory_order_relaxed);
-                    });
+    EXPECT_EQ(parallel_for(500, 3,
+                           [&](unsigned /*worker*/, std::size_t /*i*/) {
+                             total.fetch_add(1, std::memory_order_relaxed);
+                           }),
+              500u);
   }
   EXPECT_EQ(total.load(std::memory_order_relaxed), 6u * 500u);
+}
+
+TEST(ParallelForStress, StopLeavesTheFinishedPrefix) {
+  constexpr std::size_t kItems = 20000;
+  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> calls{0};
+    std::vector<std::atomic<std::uint8_t>> visits(kItems);
+    for (auto& v : visits) v.store(0, std::memory_order_relaxed);
+
+    const std::size_t finished = parallel_for(
+        kItems, workers,
+        [&](unsigned /*worker*/, std::size_t i) {
+          calls.fetch_add(1, std::memory_order_relaxed);
+          visits[i].fetch_add(1, std::memory_order_relaxed);
+          if (i == 1000) stop.store(true, std::memory_order_relaxed);
+        },
+        &stop);
+
+    // Every claimed index finishes, and claims are handed out in order, so
+    // the indices that ran are exactly [0, finished).
+    EXPECT_GT(finished, 1000u) << workers << " workers";
+    EXPECT_LT(finished, kItems) << workers << " workers";
+    EXPECT_EQ(calls.load(std::memory_order_relaxed), finished)
+        << workers << " workers";
+    for (std::size_t i = 0; i < kItems; ++i) {
+      ASSERT_EQ(visits[i].load(std::memory_order_relaxed), i < finished ? 1u : 0u)
+          << workers << " workers, index " << i;
+    }
+  }
+}
+
+TEST(ParallelForStress, EmptyAndSingleWorkerRunsStayInline) {
+  EXPECT_EQ(parallel_for(0, 4, [](unsigned, std::size_t) { ADD_FAILURE(); }), 0u);
+
+  // workers 0 and 1 both run on the calling thread, in index order.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const unsigned workers : {0u, 1u}) {
+    std::vector<std::size_t> order;
+    bool inline_only = true;
+    EXPECT_EQ(parallel_for(5, workers,
+                           [&](unsigned worker, std::size_t i) {
+                             inline_only &= worker == 0 &&
+                                            std::this_thread::get_id() == caller;
+                             order.push_back(i);
+                           }),
+              5u);
+    EXPECT_TRUE(inline_only) << workers << " workers";
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  }
+
+  // A stop raised before the call runs nothing.
+  const std::atomic<bool> stop{true};
+  EXPECT_EQ(parallel_for(5, 1, [](unsigned, std::size_t) { ADD_FAILURE(); },
+                         &stop),
+            0u);
 }
 
 // ---------------------------------------------------------------------------

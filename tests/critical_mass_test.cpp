@@ -73,36 +73,61 @@ TEST_F(CriticalMassFixture, RejectsBadArguments) {
                PreconditionError);
 }
 
+// Thread counts the fan-out is checked at: inline, even and odd splits of
+// the work, more workers than cores.
+constexpr unsigned kThreadCounts[] = {1, 2, 3, 4, 8};
+
 TEST_F(CriticalMassFixture, ParallelSweepMatchesSerial) {
   VulnerabilityAnalyzer serial(scenario_->graph(), scenario_->sim_config(), 1);
-  VulnerabilityAnalyzer parallel(scenario_->graph(), scenario_->sim_config(), 4);
   const auto& transits = scenario_->transit();
   const auto a = serial.sweep(victims_[0], transits);
-  const auto b = parallel.sweep(victims_[0], transits);
-  ASSERT_EQ(a.pollution.size(), b.pollution.size());
-  EXPECT_EQ(a.pollution, b.pollution);
-  EXPECT_EQ(a.attackers, b.attackers);
+  for (const unsigned threads : kThreadCounts) {
+    VulnerabilityAnalyzer parallel(scenario_->graph(), scenario_->sim_config(),
+                                   threads);
+    const auto b = parallel.sweep(victims_[0], transits);
+    EXPECT_EQ(a.pollution, b.pollution) << threads << " threads";
+    EXPECT_EQ(a.attackers, b.attackers) << threads << " threads";
+  }
 }
 
 TEST_F(CriticalMassFixture, ParallelDetectorMatchesSerial) {
-  DetectorExperiment serial(scenario_->graph(), scenario_->sim_config(), 1);
-  DetectorExperiment parallel(scenario_->graph(), scenario_->sim_config(), 4);
-  Rng rng_a(3), rng_b(3);
-  const auto samples_a = serial.sample_transit_attacks(200, rng_a);
-  const auto samples_b = parallel.sample_transit_attacks(200, rng_b);
+  Rng rng(3);
+  const auto samples =
+      DetectorExperiment(scenario_->graph(), scenario_->sim_config())
+          .sample_transit_attacks(200, rng);
   const std::vector<ProbeSet> probes{ProbeSet::top_k(scenario_->graph(), 10),
                                      ProbeSet::tier1(scenario_->tiers())};
-  const auto ra = serial.run(samples_a, probes, 5);
-  const auto rb = parallel.run(samples_b, probes, 5);
-  ASSERT_EQ(ra.size(), rb.size());
-  for (std::size_t c = 0; c < ra.size(); ++c) {
-    EXPECT_EQ(ra[c].histogram, rb[c].histogram);
-    EXPECT_EQ(ra[c].missed, rb[c].missed);
-    EXPECT_NEAR(ra[c].missed_pollution.mean(), rb[c].missed_pollution.mean(), 1e-9);
-    ASSERT_EQ(ra[c].top_undetected.size(), rb[c].top_undetected.size());
-    for (std::size_t i = 0; i < ra[c].top_undetected.size(); ++i) {
-      EXPECT_EQ(ra[c].top_undetected[i].pollution,
-                rb[c].top_undetected[i].pollution);
+  const auto ra = DetectorExperiment(scenario_->graph(), scenario_->sim_config(), 1)
+                      .run(samples, probes, 5);
+  for (const unsigned threads : kThreadCounts) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const auto rb =
+        DetectorExperiment(scenario_->graph(), scenario_->sim_config(), threads)
+            .run(samples, probes, 5);
+    ASSERT_EQ(ra.size(), rb.size());
+    for (std::size_t c = 0; c < ra.size(); ++c) {
+      EXPECT_EQ(ra[c].label, rb[c].label);
+      EXPECT_EQ(ra[c].probe_count, rb[c].probe_count);
+      EXPECT_EQ(ra[c].attacks, rb[c].attacks);
+      EXPECT_EQ(ra[c].histogram, rb[c].histogram);
+      // Exact floating-point equality: every thread count folds the same
+      // values in the same (attack) order.
+      EXPECT_EQ(ra[c].avg_pollution_by_triggered, rb[c].avg_pollution_by_triggered);
+      EXPECT_EQ(ra[c].missed, rb[c].missed);
+      EXPECT_EQ(ra[c].missed_fraction, rb[c].missed_fraction);
+      EXPECT_EQ(ra[c].missed_pollution.count(), rb[c].missed_pollution.count());
+      EXPECT_EQ(ra[c].missed_pollution.mean(), rb[c].missed_pollution.mean());
+      EXPECT_EQ(ra[c].missed_pollution.min(), rb[c].missed_pollution.min());
+      EXPECT_EQ(ra[c].missed_pollution.max(), rb[c].missed_pollution.max());
+      ASSERT_EQ(ra[c].top_undetected.size(), rb[c].top_undetected.size());
+      for (std::size_t i = 0; i < ra[c].top_undetected.size(); ++i) {
+        EXPECT_EQ(ra[c].top_undetected[i].attacker_asn,
+                  rb[c].top_undetected[i].attacker_asn);
+        EXPECT_EQ(ra[c].top_undetected[i].target_asn,
+                  rb[c].top_undetected[i].target_asn);
+        EXPECT_EQ(ra[c].top_undetected[i].pollution,
+                  rb[c].top_undetected[i].pollution);
+      }
     }
   }
 }

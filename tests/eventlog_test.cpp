@@ -118,9 +118,9 @@ TEST(EventLogSink, SchemaRoundTrip) {
 
 TEST(EventLogSink, RecordsAreDurableWithoutClose) {
   // Crash safety: every record is flushed as it is written, so a process
-  // that dies mid-campaign (the scenario the SIGINT/atexit hooks cover)
-  // leaves only complete, parseable lines behind. Read the file back while
-  // the sink is still open — nothing may be sitting in a buffer.
+  // that dies mid-campaign (Ctrl-C, OOM kill, CI timeout) leaves only
+  // complete, parseable lines behind. Read the file back while the sink is
+  // still open — nothing may be sitting in a buffer.
   const std::string path = ::testing::TempDir() + "eventlog_durable.ndjson";
   obs::EventLogSink::instance().set_output(path);
   for (int i = 0; i < 3; ++i) {

@@ -1,5 +1,5 @@
 // Deliberate thread-policy violation: raw std::thread fan-out in library
-// code. Sweeps must go through bgpsim::parallel_chunks (support/parallel.hpp)
+// code. Sweeps must go through bgpsim::parallel_for (support/parallel.hpp)
 // and background sampling through obs::heartbeat; this file pins the rule in
 // CI (the lint_detects_thread test expects a nonzero exit).
 #include <thread>

@@ -420,36 +420,55 @@ TEST_F(ServeTest, StopIsIdempotentAndDrains) {
 
 TEST(Router, DispatchRules) {
   Router router;
-  router.add("GET", "/a", [](const net::HttpRequest&, RequestContext& ctx) {
+  router.add("GET", "/a", "a", [](const net::HttpRequest&, RequestContext& ctx) {
     return HttpResponse{200, "text/plain",
                         "a:worker=" + std::to_string(ctx.worker)};
   });
-  router.add("POST", "/a", [](const net::HttpRequest&, RequestContext&) {
+  router.add("POST", "/a", "a", [](const net::HttpRequest&, RequestContext&) {
     return HttpResponse{200, "text/plain", "posted"};
   });
-  router.add("GET", "/boom",
+  router.add("GET", "/boom", "boom",
              [](const net::HttpRequest&, RequestContext&) -> HttpResponse {
                throw std::runtime_error("handler exploded");
              });
+  router.add_prefix("GET", "/jobs/", "job",
+                    [](const net::HttpRequest& request, RequestContext&) {
+                      return HttpResponse{200, "text/plain", request.target};
+                    });
 
+  // dispatch labels every request with the matched route's slug: a 405
+  // keeps its path's slug, a 404 is "other".
   RequestContext ctx;
   ctx.worker = 3;
   net::HttpRequest request;
   request.method = "GET";
   request.target = "/a?x=1";  // query string stripped before matching
   EXPECT_EQ(router.dispatch(request, ctx).body, "a:worker=3");
+  EXPECT_STREQ(ctx.route, "a");
   request.method = "POST";
   request.target = "/a";
   EXPECT_EQ(router.dispatch(request, ctx).body, "posted");
   request.method = "DELETE";
   EXPECT_EQ(router.dispatch(request, ctx).status, 405);
+  EXPECT_STREQ(ctx.route, "a");
   request.method = "GET";
   request.target = "/missing";
   EXPECT_EQ(router.dispatch(request, ctx).status, 404);
+  EXPECT_STREQ(ctx.route, "other");
   request.target = "/boom";
   const HttpResponse boom = router.dispatch(request, ctx);
   EXPECT_EQ(boom.status, 500);
   EXPECT_NE(boom.body.find("handler exploded"), std::string::npos);
+  EXPECT_STREQ(ctx.route, "boom");
+  for (const char* target : {"/jobs/7?x=1", "/jobs/"}) {
+    request.method = "GET";
+    request.target = target;
+    EXPECT_EQ(router.dispatch(request, ctx).body, target);
+    EXPECT_STREQ(ctx.route, "job") << target;
+    request.method = "POST";
+    EXPECT_EQ(router.dispatch(request, ctx).status, 405) << target;
+    EXPECT_STREQ(ctx.route, "job") << target;
+  }
 }
 
 }  // namespace

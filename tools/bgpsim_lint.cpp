@@ -96,7 +96,7 @@ constexpr RuleInfo kRules[] = {
      "all timing flows through bgpsim::obs so it compiles out under "
      "-DBGPSIM_OBS=OFF"},
     {"thread-policy",
-     "threads are constructed only in the sanctioned homes (parallel_chunks, "
+     "threads are constructed only in the sanctioned homes (parallel_for, "
      "obs heartbeat, net, serve)"},
     {"obs-io",
      "JSON-emitting library code routes file output through the obs layer"},
@@ -536,7 +536,7 @@ void run_line_rules(const FileContext& ctx, const LexedFile& lexed,
           line.find("<thread>") != std::string::npos) {
         findings.push_back({ctx.rel, lineno, "thread-policy",
                             "raw threads in library code; fan out through "
-                            "bgpsim::parallel_chunks (support/parallel.hpp) "
+                            "bgpsim::parallel_for (support/parallel.hpp) "
                             "so worker counts and joins stay in one place"});
       }
     }
