@@ -50,28 +50,22 @@ CriticalMassResult find_critical_mass(const AsGraph& graph, const SimConfig& con
   // routes), so the feasible region {k : defended(k) <= required} is an
   // upward-closed interval — binary search its boundary.
   std::uint32_t lo = 0, hi = graph.num_ases();
-  const double at_full = evaluate(hi);
-  if (at_full > required) {
-    result.achievable = false;
-    result.core_size = hi;
-    result.defended_mean = at_full;
-    result.core_fraction = 1.0;
-    result.achieved_reduction =
-        result.baseline_mean == 0.0
-            ? 1.0
-            : 1.0 - at_full / result.baseline_mean;
-    return result;
-  }
+  // defended_mean is always the mean measured at hi: full deployment until
+  // the search moves hi, then the evaluation that moved it.
+  result.defended_mean = evaluate(hi);
+  result.achievable = result.defended_mean <= required;
+  if (!result.achievable) lo = hi;  // even full deployment misses the target
   while (lo < hi) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (evaluate(mid) <= required) {
+    const double defended = evaluate(mid);
+    if (defended <= required) {
       hi = mid;
+      result.defended_mean = defended;
     } else {
       lo = mid + 1;
     }
   }
   result.core_size = hi;
-  result.defended_mean = evaluate(hi);
   result.core_fraction =
       static_cast<double>(hi) / static_cast<double>(graph.num_ases());
   result.achieved_reduction =

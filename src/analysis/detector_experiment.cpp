@@ -75,11 +75,11 @@ std::vector<DetectorCaseResult> DetectorExperiment::run(
   const std::size_t sets = probe_sets.size();
   std::vector<std::uint32_t> pollution(attacks.size());
   std::vector<std::uint32_t> triggered(attacks.size() * sets);
-  const std::size_t workers = std::min<std::size_t>(threads_, attacks.size());
+  const unsigned workers = worker_count(threads_, attacks.size());
   std::vector<HijackSimulator> sims;
   sims.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) sims.emplace_back(graph_, config_);
-  parallel_for(attacks.size(), static_cast<unsigned>(workers),
+  for (unsigned w = 0; w < workers; ++w) sims.emplace_back(graph_, config_);
+  parallel_for(attacks.size(), workers,
                [&](unsigned worker, std::size_t i) {
                  HijackSimulator& sim = sims[worker];
                  pollution[i] =

@@ -49,7 +49,7 @@ struct DetectorCaseResult {
 
 class DetectorExperiment {
  public:
-  /// run() evaluates attacks on up to `threads` workers (parallel_for), one
+  /// run() evaluates attacks on worker_count(threads, items) workers, one
   /// simulator each; results are identical at any thread count. 0 = use
   /// hardware_concurrency.
   DetectorExperiment(const AsGraph& graph, SimConfig config, unsigned threads = 1);

@@ -35,16 +35,6 @@ AdjRib::AdjRib(const AsGraph& graph, PolicyConfig config)
     }
   }
 
-  is_stub_.assign(n, 1);
-  for (AsId v = 0; v < n; ++v) {
-    for (const auto& nbr : graph_.neighbors(v)) {
-      if (nbr.rel == Rel::Customer) {
-        is_stub_[v] = 0;
-        break;
-      }
-    }
-  }
-
   rib_.assign(total_edges, Entry{});
   rib_path_.assign(total_edges, kNoPath);
   best_.assign(n, Route{});
@@ -112,22 +102,7 @@ void AdjRib::reselect(AsId v) {
   } else {
     best_path_[v] = kNoPath;
   }
-  record_provenance(v, best, before);
-}
-
-void AdjRib::record_provenance(AsId to, const Route& now, const Route& before) {
-  if (prov_ == nullptr) return;
-  const bool now_bad = now.origin == Origin::Attacker;
-  const bool was_bad = before.origin == Origin::Attacker;
-  if (!now_bad && !was_bad) return;
-  if (now_bad && was_bad && now.via == before.via &&
-      now.path_len == before.path_len) {
-    return;  // still the same bogus route; nothing changed materially
-  }
-  prov_->record_edge(obs::make_edge(
-      now_bad ? obs::InfectionEdgeKind::Adopt : obs::InfectionEdgeKind::Cure,
-      to, now.valid() ? now.via : to, generation_, now.path_len,
-      before.path_len, static_cast<std::uint8_t>(before.origin)));
+  record_route_change(prov_, v, best, before, generation_);
 }
 
 void AdjRib::record_blocked(AsId to, AsId from, std::uint16_t len) {

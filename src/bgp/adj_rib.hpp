@@ -12,6 +12,7 @@
 //   * export is valley-free with split horizon, plus the optional stub
 //     first-hop filter;
 //   * provenance edges obey one material-change rule.
+// The rank order, the stub test and the change rule are bgp/policy.hpp's.
 // Both engines therefore reach the unique stable state: the same origin,
 // route class and path length at every AS.
 #pragma once
@@ -25,10 +26,6 @@
 #include "topology/as_graph.hpp"
 
 namespace bgpsim {
-
-namespace obs {
-class ProvenanceRecorder;  // obs/provenance.hpp
-}  // namespace obs
 
 class AdjRib {
  public:
@@ -149,9 +146,6 @@ class AdjRib {
 
   void reselect(AsId v);
   void set_best_path(AsId v, PathId tail) { best_path_[v] = push_node(v, tail); }
-  /// Emit an adopt/cure edge when `now` differs materially from `before`
-  /// and either side is Attacker-origin. No-op when unarmed.
-  void record_provenance(AsId to, const Route& now, const Route& before);
   void record_blocked(AsId to, AsId from, std::uint16_t len);
 
   const AsGraph& graph_;
@@ -161,7 +155,6 @@ class AdjRib {
   // u inside v's neighbor list.
   std::vector<std::uint32_t> edge_offset_;  // per AS, into rib arrays
   std::vector<std::uint32_t> mirror_;
-  std::vector<std::uint8_t> is_stub_;  // for the first-hop stub filter
 
   // Every interned path node since the last reset().
   std::vector<PathNode> path_nodes_;
@@ -194,12 +187,9 @@ inline AdjRib::Export AdjRib::export_action(AsId v, const Neighbor& nbr) const {
   if (!route.valid() || !exports_to(route.cls, nbr.rel) || nbr.id == route.via) {
     return Export::Withdraw;
   }
-  // A provider knows its *stub* customers' prefixes and drops a bogus
-  // origination arriving directly from one (transit customers legitimately
-  // re-announce third-party prefixes, so they cannot be filtered this way).
-  if (config_.stub_first_hop_filter && route.cls == RouteClass::Self &&
-      route.origin == Origin::Attacker && nbr.rel == Rel::Provider &&
-      is_stub_[v]) {
+  // The §IV first-hop filter: a stub attacker's providers drop its origination.
+  if (route.cls == RouteClass::Self && route.origin == Origin::Attacker &&
+      nbr.rel == Rel::Provider && first_hop_filtered(graph_, config_, v)) {
     return Export::Filtered;
   }
   return Export::Announce;
@@ -269,25 +259,24 @@ inline bool AdjRib::deliver(AsId from, AsId to, std::uint32_t rib_idx,
   if (best_slot_[to] == rib_idx) {
     // Implicit withdraw: the neighbor replaced the route we were using.
     if (replaced_same) return false;
-    const bool improved = rank_better(entry.cls, entry.len, best.cls,
-                                      best.path_len, is_t1,
-                                      config_.tier1_shortest_path);
-    const bool degraded = rank_better(best.cls, best.path_len, entry.cls,
-                                      entry.len, is_t1,
-                                      config_.tier1_shortest_path);
+    // Each rank is computed once: two rank_better() calls here made deliver
+    // too big for GCC to inline into the generation engine's loop.
+    const bool len_first = is_t1 && config_.tier1_shortest_path;
+    const std::uint32_t entry_rank = route_rank(entry.cls, entry.len, len_first);
+    const std::uint32_t best_rank = route_rank(best.cls, best.path_len, len_first);
     // Keep using the same neighbor when the replacement is still guaranteed
     // best: strictly improved (nothing else in the Adj-RIB-In can displace
     // it), or equal rank without downgrading to the attacker's origin (an
     // equal-rank legitimate route elsewhere in the RIB would win the tie).
-    if (improved ||
-        (!degraded && (entry.origin == best.origin ||
-                       entry.origin == Origin::Legit))) {
+    if (entry_rank > best_rank ||
+        (entry_rank == best_rank && (entry.origin == best.origin ||
+                                     entry.origin == Origin::Legit))) {
       const Route before = best;
       best.origin = entry.origin;
       best.cls = entry.cls;
       best.path_len = entry.len;
       set_best_path(to, path);
-      record_provenance(to, best, before);
+      record_route_change(prov_, to, best, before, generation_);
       return true;
     }
     // Degraded (or an equal-rank origin downgrade): fall back to the full
@@ -302,7 +291,7 @@ inline bool AdjRib::deliver(AsId from, AsId to, std::uint32_t rib_idx,
     best = Route{entry.origin, entry.cls, entry.len, from};
     best_slot_[to] = rib_idx;
     set_best_path(to, path);
-    record_provenance(to, best, before);
+    record_route_change(prov_, to, best, before, generation_);
     return true;
   }
   return false;

@@ -11,15 +11,6 @@ EquilibriumEngine::EquilibriumEngine(const AsGraph& graph, PolicyConfig config)
     : graph_(graph), config_(std::move(config)) {
   validate_engine_inputs(graph_, config_);
   const std::uint32_t n = graph_.num_ases();
-  is_stub_.assign(n, 1);
-  for (AsId v = 0; v < n; ++v) {
-    for (const auto& nbr : graph_.neighbors(v)) {
-      if (nbr.rel == Rel::Customer) {
-        is_stub_[v] = 0;
-        break;
-      }
-    }
-  }
   customer_.resize(n);
   peer_.resize(n);
   // Route lengths are bounded by the AS count; pre-sizing keeps stage 3 free
@@ -89,6 +80,17 @@ void EquilibriumEngine::run(AsId primary, Origin primary_tag,
                ev.emit());
 }
 
+bool EquilibriumEngine::validator_drops(const ValidatorSet* validators, AsId to,
+                                        AsId from, std::uint16_t len) {
+  if (validators == nullptr || (*validators)[to] == 0) return false;
+  ++validator_drop_count_;
+  if (prov_ != nullptr) {
+    prov_->record_edge(
+        obs::make_edge(obs::InfectionEdgeKind::Blocked, to, from, len, len));
+  }
+  return true;
+}
+
 void EquilibriumEngine::stage1_customer_routes(AsId primary, Origin primary_tag,
                                                std::uint16_t primary_len,
                                                AsId secondary,
@@ -116,9 +118,9 @@ void EquilibriumEngine::stage1_customer_routes(AsId primary, Origin primary_tag,
     attacker_seed = secondary;
   }
 
-  const bool stub_filter_attacker = config_.stub_first_hop_filter &&
-                                    attacker_seed != kInvalidAs &&
-                                    is_stub_[attacker_seed];
+  const bool stub_filter_attacker =
+      attacker_seed != kInvalidAs &&
+      first_hop_filtered(graph_, config_, attacker_seed);
 
   std::size_t highest =
       std::max<std::size_t>(primary_len,
@@ -135,15 +137,7 @@ void EquilibriumEngine::stage1_customer_routes(AsId primary, Origin primary_tag,
           const AsId w = nbr.id;
           if (customer_[w].origin != Origin::None) continue;
           if (origin == Origin::Attacker) {
-            if (validators != nullptr && (*validators)[w] != 0) {
-              ++validator_drop_count_;
-              if (prov_ != nullptr) {
-                prov_->record_edge(obs::make_edge(
-                    obs::InfectionEdgeKind::Blocked, w, u,
-                    static_cast<std::uint32_t>(next_len), next_len));
-              }
-              continue;
-            }
+            if (validator_drops(validators, w, u, next_len)) continue;
             if (stub_filter_attacker && u == attacker_seed) continue;
           }
           customer_[w] = Claim{origin, next_len, u};
@@ -219,18 +213,11 @@ void EquilibriumEngine::stage2_peer_routes(const ValidatorSet* validators) {
     for (const auto& nbr : graph_.neighbors(v)) {
       if (nbr.rel != Rel::Peer || !exportable_[nbr.id]) continue;
       const Claim& offer = customer_[nbr.id];
-      if (offer.origin == Origin::Attacker && validators != nullptr &&
-          (*validators)[v] != 0) {
-        ++validator_drop_count_;
-        if (prov_ != nullptr) {
-          const auto blocked_len = static_cast<std::uint16_t>(offer.len + 1);
-          prov_->record_edge(obs::make_edge(
-              obs::InfectionEdgeKind::Blocked, v, nbr.id,
-              static_cast<std::uint32_t>(blocked_len), blocked_len));
-        }
+      const auto cand_len = static_cast<std::uint16_t>(offer.len + 1);
+      if (offer.origin == Origin::Attacker &&
+          validator_drops(validators, v, nbr.id, cand_len)) {
         continue;
       }
-      const auto cand_len = static_cast<std::uint16_t>(offer.len + 1);
       const bool better =
           best.origin == Origin::None || cand_len < best.len ||
           (cand_len == best.len && best.origin == Origin::Attacker &&
@@ -309,18 +296,11 @@ void EquilibriumEngine::stage3_select_and_descend(AsId primary, Origin primary_t
         if (nbr.rel != Rel::Customer) continue;  // selections descend to customers
         const AsId v = nbr.id;
         if (out.routes[v].valid()) continue;
-        if (route.origin == Origin::Attacker && validators != nullptr &&
-            (*validators)[v] != 0) {
-          ++validator_drop_count_;
-          if (prov_ != nullptr) {
-            const auto blocked_len = static_cast<std::uint16_t>(len + 1);
-            prov_->record_edge(obs::make_edge(
-                obs::InfectionEdgeKind::Blocked, v, w,
-                static_cast<std::uint32_t>(blocked_len), blocked_len));
-          }
+        const auto new_len = static_cast<std::uint16_t>(len + 1);
+        if (route.origin == Origin::Attacker &&
+            validator_drops(validators, v, w, new_len)) {
           continue;
         }
-        const auto new_len = static_cast<std::uint16_t>(len + 1);
         out.routes[v] = Route{route.origin, RouteClass::Provider, new_len, w};
         if (prov_ != nullptr && route.origin == Origin::Attacker) {
           prov_->record_edge(obs::make_edge(obs::InfectionEdgeKind::Adopt, v,

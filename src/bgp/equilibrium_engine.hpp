@@ -29,10 +29,6 @@
 
 namespace bgpsim {
 
-namespace obs {
-class ProvenanceRecorder;  // obs/provenance.hpp
-}  // namespace obs
-
 class EquilibriumEngine {
  public:
   /// The graph must be sibling-free (see contract_siblings).
@@ -79,6 +75,11 @@ class EquilibriumEngine {
                               std::uint16_t secondary_len,
                               const ValidatorSet* validators);
   void stage2_peer_routes(const ValidatorSet* validators);
+  /// True when a validator at `to` drops the bogus route `from` offers at
+  /// length `len`; counts the drop and records its Blocked edge (generation
+  /// = the path-length level).
+  bool validator_drops(const ValidatorSet* validators, AsId to, AsId from,
+                       std::uint16_t len);
   void stage3_select_and_descend(AsId primary, Origin primary_tag,
                                  std::uint16_t primary_len, AsId secondary,
                                  std::uint16_t secondary_len,
@@ -86,7 +87,6 @@ class EquilibriumEngine {
 
   const AsGraph& graph_;
   PolicyConfig config_;
-  std::vector<std::uint8_t> is_stub_;
 
   // Validator rejections during the current run(); flushed to the
   // defense.validator_drops counter when it returns.

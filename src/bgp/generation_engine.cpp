@@ -72,20 +72,14 @@ void GenerationEngine::snapshot_watch(std::uint32_t generation) {
     snap.candidates.push_back(std::move(cand));
   }
 
-  // Rank in the engine's strict total order; stable sort keeps the residual
-  // ascending-neighbor tie order candidates were gathered in.
+  // Rank in the engine's strict total order (a precedes b when a would
+  // displace b); stable sort keeps the residual ascending-neighbor tie order
+  // candidates were gathered in.
   std::stable_sort(
       snap.candidates.begin(), snap.candidates.end(),
       [&](const DecisionCandidate& a, const DecisionCandidate& b) {
-        if (rank_better(a.cls, a.len, b.cls, b.len, is_t1,
-                        config.tier1_shortest_path)) {
-          return true;
-        }
-        if (rank_better(b.cls, b.len, a.cls, a.len, is_t1,
-                        config.tier1_shortest_path)) {
-          return false;
-        }
-        return a.origin == Origin::Legit && b.origin == Origin::Attacker;
+        return displaces(b.origin, b.cls, b.len, a.origin, a.cls, a.len, is_t1,
+                         config.tier1_shortest_path);
       });
   for (std::uint32_t rank = 0; rank < snap.candidates.size(); ++rank) {
     DecisionCandidate& cand = snap.candidates[rank];

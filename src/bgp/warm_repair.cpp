@@ -8,39 +8,16 @@
 namespace bgpsim {
 namespace {
 
-/// Packed strict-total-order preference key; higher = preferred. Encodes the
-/// engines' full selection order in one integer: displaces() rank (LOCAL_PREF
-/// then length, or length-first at tier-1s under tier1_shortest_path, with
-/// Self above everything), then the legit-over-attacker rank tie, then
-/// lowest via. Invalid routes map to 0, below every valid key. Distinct valid
-/// candidates at one AS always have distinct vias, so key comparison is a
-/// strict total order — one compare replaces two displaces() calls plus the
-/// via tie-break in the hot accept test.
-inline std::uint64_t pref_key(const Route& r, bool tier1_len_first) {
-  if (!r.valid()) return 0;
-  const auto len = static_cast<std::uint64_t>(0xffffu - r.path_len);
-  const auto via = static_cast<std::uint64_t>(0xffffffffu - r.via);
-  const std::uint64_t legit = r.origin == Origin::Legit ? 1u : 0u;
-  const auto pref = static_cast<std::uint64_t>(local_pref(r.cls));
-  if (tier1_len_first) {
-    const std::uint64_t self = r.cls == RouteClass::Self ? 1u : 0u;
-    return (self << 52) | (len << 36) | (pref << 33) | (legit << 32) | via;
-  }
-  return (pref << 49) | (len << 33) | (legit << 32) | via;
-}
-
 struct RepairContext {
   const AsGraph& graph;
-  const PolicyConfig& config;
   const std::uint8_t* vmask;  // validator flags, or nullptr
   RouteTable& table;
-  AsId target;
   AsId attacker;
-  bool stub_filter_attacker;  // attacker is a stub and the §IV filter is on
+  bool stub_filter_attacker;  // first_hop_filtered(graph, config, attacker)
 };
 
 /// Full re-selection at `w` from every neighbor's current offer: the
-/// candidate with the maximum preference key, exactly the fold the cold
+/// candidate with the maximum selection_key, exactly the fold the cold
 /// engines realize via sorted frontiers and sorted adjacency scans. Each
 /// neighbor entry `nbr` is the sender as stored in `w`'s adjacency, so
 /// `nbr.rel` is the sender's relationship from `w`'s viewpoint: the sender
@@ -57,6 +34,8 @@ Route reselect(const RepairContext& ctx, AsId w, bool tier1_len_first,
   for (const auto& nbr : ctx.graph.neighbors(w)) {
     const Route& sent = ctx.table.routes[nbr.id];
     if (!sent.valid() || sent.via == w) continue;
+    // exports_to(sent.cls, inverse(nbr.rel)), tested from the receiver's
+    // side; this spelling keeps the hot scan fast.
     if (nbr.rel != Rel::Provider && sent.cls != RouteClass::Self &&
         sent.cls != RouteClass::Customer) {
       continue;
@@ -71,7 +50,7 @@ Route reselect(const RepairContext& ctx, AsId w, bool tier1_len_first,
     if (sent.path_len >= 0xffff) continue;  // transient churn; budget fires
     const Route cand{sent.origin, route_class_from(nbr.rel),
                      static_cast<std::uint16_t>(sent.path_len + 1), nbr.id};
-    const std::uint64_t key = pref_key(cand, tier1_len_first);
+    const std::uint64_t key = selection_key(cand, tier1_len_first);
     if (key > best_key) {
       best = cand;
       best_key = key;
@@ -97,20 +76,12 @@ bool warm_hijack_repair(const AsGraph& graph, const PolicyConfig& config,
                  "validator set size mismatch");
   BGPSIM_TIMED_SCOPE("warm.repair");
 
-  bool attacker_is_stub = true;
-  for (const auto& nbr : graph.neighbors(attacker)) {
-    if (nbr.rel == Rel::Customer) {
-      attacker_is_stub = false;
-      break;
-    }
-  }
   const std::uint8_t* vmask = validators != nullptr ? validators->data() : nullptr;
   const bool t1sp = config.tier1_shortest_path;
   const std::uint8_t* tier1 =
       config.is_tier1.empty() ? nullptr : config.is_tier1.data();
-  RepairContext ctx{graph,    config,   vmask,
-                    table,    target,   attacker,
-                    config.stub_first_hop_filter && attacker_is_stub};
+  RepairContext ctx{graph, vmask, table, attacker,
+                    first_hop_filtered(graph, config, attacker)};
 
   // Inject the bogus origin and seed the worklist there. FIFO order with an
   // in-queue bitmap keeps each AS at most once in flight.
@@ -125,25 +96,6 @@ bool warm_hijack_repair(const AsGraph& graph, const PolicyConfig& config,
   // Budget: the repair touches O(changed region); 64 pops per AS plus slack
   // is orders of magnitude above anything observed. Exhaustion means the
   // caller recomputes cold — slower, never wrong.
-  // Provenance hook: emit an adopt/cure edge when `now` differs materially
-  // from `before` and either side is Attacker-origin — the same rule the
-  // message-passing engines apply, with generation 0 (no clock here).
-  const auto record_prov = [prov](AsId w, const Route& now,
-                                  const Route& before) {
-    if (prov == nullptr) return;
-    const bool now_bad = now.origin == Origin::Attacker;
-    const bool was_bad = before.origin == Origin::Attacker;
-    if (!now_bad && !was_bad) return;
-    if (now_bad && was_bad && now.via == before.via &&
-        now.path_len == before.path_len) {
-      return;  // still the same bogus route; nothing changed materially
-    }
-    prov->record_edge(obs::make_edge(
-        now_bad ? obs::InfectionEdgeKind::Adopt : obs::InfectionEdgeKind::Cure,
-        w, now.valid() ? now.via : w, 0, now.path_len, before.path_len,
-        static_cast<std::uint8_t>(before.origin)));
-  };
-
   const std::uint64_t budget = 64ull * n + 1024;
   std::uint64_t pops = 0;
   std::uint64_t reselects = 0;
@@ -171,21 +123,17 @@ bool warm_hijack_repair(const AsGraph& graph, const PolicyConfig& config,
     // receiver class would see (export rule, learned class, length) is
     // computable once per pop. Indexed by Neighbor::rel — the receiver's
     // role from v's viewpoint; siblings are contracted before simulation but
-    // keep their slot (offer direction and class match the provider case).
+    // keep their slot.
     const Route sent = table.routes[v];
     const bool bogus = sent.origin == Origin::Attacker;
     Route offered[4];
     if (sent.valid() && sent.path_len < 0xffff) {
       const auto len = static_cast<std::uint16_t>(sent.path_len + 1);
-      offered[static_cast<int>(Rel::Customer)] =
-          Route{sent.origin, RouteClass::Provider, len, v};
-      if (sent.cls == RouteClass::Self || sent.cls == RouteClass::Customer) {
-        offered[static_cast<int>(Rel::Peer)] =
-            Route{sent.origin, RouteClass::Peer, len, v};
-        offered[static_cast<int>(Rel::Provider)] =
-            Route{sent.origin, RouteClass::Customer, len, v};
-        offered[static_cast<int>(Rel::Sibling)] =
-            Route{sent.origin, RouteClass::Customer, len, v};
+      for (const Rel to : {Rel::Customer, Rel::Peer, Rel::Provider, Rel::Sibling}) {
+        if (exports_to(sent.cls, to)) {
+          offered[static_cast<int>(to)] =
+              Route{sent.origin, route_class_from(inverse(to)), len, v};
+        }
       }
     }
     // §IV stub filtering: v's own providers (receivers whose rel-from-v is
@@ -196,8 +144,8 @@ bool warm_hijack_repair(const AsGraph& graph, const PolicyConfig& config,
     std::uint64_t key_plain[4];
     std::uint64_t key_t1[4];
     for (int rel = 0; rel < 4; ++rel) {
-      key_plain[rel] = pref_key(offered[rel], false);
-      key_t1[rel] = pref_key(offered[rel], t1sp);
+      key_plain[rel] = selection_key(offered[rel], false);
+      key_t1[rel] = selection_key(offered[rel], t1sp);
     }
 
     // v's selection changed: every neighbor re-evaluates what v now offers.
@@ -228,11 +176,11 @@ bool warm_hijack_repair(const AsGraph& graph, const PolicyConfig& config,
         cand_key = 0;
       }
       const Route& cur = table.routes[w];
-      const std::uint64_t cur_key = pref_key(cur, w_t1len);
+      const std::uint64_t cur_key = selection_key(cur, w_t1len);
       if (cand_key > cur_key) {
         const Route before = cur;  // cur aliases table.routes[w]; copy first
         table.routes[w] = offered[rel];
-        record_prov(w, table.routes[w], before);
+        record_route_change(prov, w, table.routes[w], before, 0);
         if (!queued[w]) {
           queue.push_back(w);
           queued[w] = 1;
@@ -248,7 +196,7 @@ bool warm_hijack_repair(const AsGraph& graph, const PolicyConfig& config,
             sel.path_len != cur.path_len || sel.via != cur.via) {
           const Route before = cur;  // cur aliases table.routes[w]; copy first
           table.routes[w] = sel;
-          record_prov(w, table.routes[w], before);
+          record_route_change(prov, w, table.routes[w], before, 0);
           if (!queued[w]) {
             queue.push_back(w);
             queued[w] = 1;

@@ -15,7 +15,13 @@
 // The repair is a worklist relaxation seeded at the attacker: inject the
 // bogus self-route, then propagate route changes along the export rules
 // until quiescent. Most of the topology keeps its baseline route untouched,
-// which is where the speedup comes from (see BENCH_warmstart.json).
+// which is where the speedup comes from (see BENCH_warmstart.json). It runs
+// the same policy as the cold engines because it calls the same rules in
+// bgp/policy.hpp: selection_key (route_rank, then the legit tie, then the
+// lowest via) for every preference compare, exports_to for the per-pop
+// offers (re-selection spells the same test from the receiver's side),
+// first_hop_filtered for the §IV stub filter and record_route_change for
+// provenance. It keeps only its scheduler and data layout.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +31,6 @@
 #include "topology/as_graph.hpp"
 
 namespace bgpsim {
-
-namespace obs {
-class ProvenanceRecorder;  // obs/provenance.hpp
-}  // namespace obs
 
 /// Repair `table` — which must hold the converged *legitimate-only* routing
 /// state for `target` (as produced by EquilibriumEngine::compute with no

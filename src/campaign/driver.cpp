@@ -147,7 +147,7 @@ CampaignResult run_campaign(const Scenario& scenario,
   // from a copy of the victim's baseline, so which simulator runs a sample
   // never changes its outcome.
   std::vector<std::unique_ptr<HijackSimulator>> sims(
-      std::min<std::uint64_t>(std::max(1u, spec.workers), round_capacity));
+      worker_count(spec.workers, round_capacity));
   for (std::unique_ptr<HijackSimulator>& sim : sims) {
     sim = std::make_unique<HijackSimulator>(graph, scenario.sim_config());
     sim->attach_baseline(baselines);

@@ -64,7 +64,7 @@ struct CampaignSpec {
   std::uint64_t min_samples_per_stratum = 32;
 
   /// Sample threads per round, each with its own simulator; no more run
-  /// than a round has samples.
+  /// than kMaxWorkers (64) or than a round has samples (worker_count).
   unsigned workers = 1;
 
   /// Top-K-by-degree ROV deployment applied to every sample (0 = none).

@@ -50,7 +50,6 @@ Scenario::Scenario(AsGraph graph, const ScenarioParams& params)
       graph_.num_ases(), params.tier2_min_degree_full_scale);
   tiers_ = classify_tiers(graph_, tier2_min_degree);
   depth_ = compute_depth(graph_, tiers_, /*include_tier2=*/true);
-  depth_tier1_only_ = compute_depth(graph_, tiers_, /*include_tier2=*/false);
   transit_ = transit_ases(graph_);
 
   sim_config_.engine = params.engine;

@@ -70,11 +70,6 @@ class Scenario {
   /// Depth per AS, to the nearest tier-1 *or tier-2* (§IV's redefinition).
   const std::vector<std::uint16_t>& depth() const { return depth_; }
 
-  /// Depth per AS to the nearest tier-1 only (the metric's first version).
-  const std::vector<std::uint16_t>& depth_tier1_only() const {
-    return depth_tier1_only_;
-  }
-
   const std::vector<AsId>& transit() const { return transit_; }
 
   const PolicyConfig& policy() const { return sim_config_.policy; }
@@ -95,7 +90,6 @@ class Scenario {
   AsGraph graph_;
   TierClassification tiers_;
   std::vector<std::uint16_t> depth_;
-  std::vector<std::uint16_t> depth_tier1_only_;
   std::vector<AsId> transit_;
   SimConfig sim_config_;
 };

@@ -1,5 +1,6 @@
 #include "obs/config.hpp"
 
+#include <atomic>
 #include <cctype>
 #include <filesystem>
 #include <system_error>
@@ -31,6 +32,7 @@ std::optional<std::string> parse_provenance(const std::string& raw) {
 #if !defined(BGPSIM_OBS_DISABLED)
 Mutex g_active_mutex;
 Config g_active BGPSIM_GUARDED_BY(g_active_mutex);
+std::atomic<std::uint64_t> g_slow_request_us{0};
 #endif
 
 }  // namespace
@@ -83,6 +85,8 @@ void start(const Config& config) {
   TraceSink::instance().set_output(config.trace);
   EventLogSink::instance().set_output(config.eventlog);
   provenance_stream().set_output(config.provenance.value_or(""));
+  access_log_stream().set_output(config.access_log);
+  g_slow_request_us.store(config.slow_req_us, std::memory_order_relaxed);
   if (!config.profile.empty()) {
     (void)profiler_start(config.profile, config.profile_hz, config.profile_ring);
   }
@@ -97,6 +101,8 @@ void stop() {
   trace.set_output("");
   EventLogSink::instance().set_output("");
   provenance_stream().set_output("");
+  access_log_stream().set_output("");
+  g_slow_request_us.store(0, std::memory_order_relaxed);
   MutexLock lock(&g_active_mutex);
   g_active = Config{};
 }
@@ -104,6 +110,15 @@ void stop() {
 Config active_config() {
   MutexLock lock(&g_active_mutex);
   return g_active;
+}
+
+EventLogSink& access_log_stream() {
+  static EventLogSink sink;
+  return sink;
+}
+
+std::uint64_t slow_request_us() {
+  return g_slow_request_us.load(std::memory_order_relaxed);
 }
 
 #endif  // BGPSIM_OBS_DISABLED

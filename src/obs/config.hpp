@@ -1,7 +1,8 @@
 // One configuration for every observability sink: the BGPSIM_* knobs read
 // once by Config::from_env(), CLI flags laid over them, and one
-// start()/stop() pair that arms and tears down the sinks. Layers above obs
-// (the serve access log, HijackSimulator, /statusz) read active_config().
+// start()/stop() pair that arms and tears down the sinks, the serve access
+// log included. Layers above obs (HijackSimulator, /statusz) read
+// active_config().
 // Knob table (env var, CLI flag, default, field): DESIGN.md §7.
 #pragma once
 
@@ -16,6 +17,8 @@
 #include "obs/provenance.hpp"
 
 namespace bgpsim::obs {
+
+class EventLogSink;  // obs/eventlog.hpp
 
 struct Config {
   std::string trace;       ///< BGPSIM_TRACE / --trace: Chrome trace path
@@ -46,18 +49,30 @@ struct Config {
 };
 
 /// Make `config` the active configuration and arm its sinks: trace, event
-/// log, provenance stream, profiler, then the heartbeat (which reads the
-/// open event log). Call once at startup, before the work it observes.
+/// log, provenance stream, access log and its slow threshold, profiler, then
+/// the heartbeat (which reads the open event log). Call once at startup,
+/// before the work it observes.
 void start(const Config& config);
 
 /// Tear down what start() armed: final heartbeat, folded profile, trace
-/// flush, event-log and provenance close; the active configuration returns
-/// to the default. Idempotent.
+/// flush, event-log, provenance and access-log close; the active
+/// configuration returns to the default. Idempotent.
 void stop();
 
 /// The configuration start() made active: the default before start() and
 /// after stop(), and always under -DBGPSIM_OBS=OFF (where no sink is armed).
 Config active_config();
+
+#if !defined(BGPSIM_OBS_DISABLED)
+/// The serve access log's NDJSON stream, open at Config::access_log between
+/// start() and stop(). It is its own sink, so access records never
+/// interleave with simulation events.
+EventLogSink& access_log_stream();
+
+/// Config::slow_req_us between start() and stop(), 0 otherwise: access
+/// records of requests at least this slow carry the request parameters.
+std::uint64_t slow_request_us();
+#endif
 
 /// Open `path` for writing (truncating), creating its parent directory
 /// first. Every file sink opens through here; failure shows as a stream in

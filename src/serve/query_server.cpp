@@ -5,12 +5,13 @@
 
 #include "obs/obs.hpp"
 #include "serve/request_obs.hpp"
+#include "support/parallel.hpp"
 
 namespace bgpsim::serve {
 
 QueryServer::QueryServer(Router router, QueryServerOptions options)
     : router_(std::move(router)), options_(options) {
-  options_.workers = std::clamp(options_.workers, 1u, 64u);
+  options_.workers = std::clamp(options_.workers, 1u, kMaxWorkers);
 }
 
 bool QueryServer::start() {

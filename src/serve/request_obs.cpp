@@ -73,11 +73,6 @@ std::string make_request_id(std::string_view passthrough, unsigned worker) {
   return id;
 }
 
-AccessLog& AccessLog::instance() {
-  static AccessLog log;
-  return log;
-}
-
 #if !defined(BGPSIM_OBS_DISABLED)
 
 namespace {
@@ -91,24 +86,6 @@ const obs::HistogramSpec& us_spec() {
 }
 
 }  // namespace
-
-AccessLog::AccessLog() {
-  const obs::Config config = obs::active_config();
-  sink_.set_output(config.access_log);
-  slow_threshold_us_.store(config.slow_req_us, std::memory_order_relaxed);
-}
-
-void AccessLog::set_output(const std::string& path) { sink_.set_output(path); }
-
-bool AccessLog::enabled() const { return sink_.enabled(); }
-
-void AccessLog::set_slow_threshold_us(std::uint64_t us) {
-  slow_threshold_us_.store(us, std::memory_order_relaxed);
-}
-
-std::uint64_t AccessLog::slow_threshold_us() const {
-  return slow_threshold_us_.load(std::memory_order_relaxed);
-}
 
 ScopedRequestId::ScopedRequestId(const std::string& id) {
   obs::set_thread_request_id(id);
@@ -137,13 +114,13 @@ void record_request(const RequestContext& ctx, int status,
                            timer.handle_us());
   BGPSIM_HISTOGRAM_OBSERVE("serve.phase.write_us", us_spec(), timer.write_us());
 
-  AccessLog& log = AccessLog::instance();
+  obs::EventLogSink& log = obs::access_log_stream();
   if (!log.enabled()) return;
 
-  const std::uint64_t slow_at = log.slow_threshold_us();
+  const std::uint64_t slow_at = obs::slow_request_us();
   const bool slow = slow_at > 0 && timer.total_us() >= slow_at;
 
-  obs::EventRecord ev("access", &log.sink());
+  obs::EventRecord ev("access", &log);
   ev.str("request_id", ctx.request_id)
       .str("route", ctx.route)
       .u64("worker", ctx.worker)
@@ -169,16 +146,6 @@ void record_request(const RequestContext& ctx, int status,
 }
 
 #else  // BGPSIM_OBS_DISABLED
-
-AccessLog::AccessLog() = default;
-
-void AccessLog::set_output(const std::string&) {}
-
-bool AccessLog::enabled() const { return false; }
-
-void AccessLog::set_slow_threshold_us(std::uint64_t) {}
-
-std::uint64_t AccessLog::slow_threshold_us() const { return 0; }
 
 ScopedRequestId::ScopedRequestId(const std::string&) {}
 

@@ -1,8 +1,9 @@
 // Request-level observability for the query service: the per-request
 // context threaded query_server -> router -> service, request-id
-// assignment, phase timing, status-class accounting, and the NDJSON access
-// log (obs::Config::access_log, with slow-request capture at
-// Config::slow_req_us; DESIGN.md §7).
+// assignment, phase timing, status-class accounting, and the records of the
+// NDJSON access log (obs::access_log_stream(), armed by obs::start at
+// Config::access_log, with slow-request capture at Config::slow_req_us;
+// DESIGN.md §7).
 //
 // Phase taxonomy (all microseconds, DESIGN.md §12):
 //   queue_wait  accept() -> first request byte (client/network idle; the
@@ -25,7 +26,6 @@
 #include <string>
 #include <string_view>
 
-#include "obs/eventlog.hpp"
 #if !defined(BGPSIM_OBS_DISABLED)
 #include "obs/timer.hpp"
 #endif
@@ -134,36 +134,6 @@ class RequestTimer {
 
 #endif  // BGPSIM_OBS_DISABLED
 
-/// NDJSON access log: one record per answered request, reusing the event-log
-/// sink machinery (locked seq numbers, flush-per-line crash safety) on its
-/// own stream so access records never interleave with simulation events.
-/// Configured at first use from obs::active_config(), or by set_output /
-/// set_slow_threshold_us. Disabled and no-op under -DBGPSIM_OBS=OFF.
-class AccessLog {
- public:
-  static AccessLog& instance();
-
-  void set_output(const std::string& path);
-  bool enabled() const;
-
-  /// Requests whose total phase time reaches this threshold get "slow": true
-  /// plus the raw request body ("params") attached. 0 disables capture.
-  void set_slow_threshold_us(std::uint64_t us);
-  std::uint64_t slow_threshold_us() const;
-
-#if !defined(BGPSIM_OBS_DISABLED)
-  obs::EventLogSink& sink() { return sink_; }
-#endif
-
- private:
-  AccessLog();
-
-#if !defined(BGPSIM_OBS_DISABLED)
-  obs::EventLogSink sink_;
-  std::atomic<std::uint64_t> slow_threshold_us_{0};
-#endif
-};
-
 /// Publishes the request id to obs::thread_request_id() for the scope of a
 /// handler, so engine-level event-log records (attack_result) can carry it.
 class ScopedRequestId {
@@ -176,9 +146,10 @@ class ScopedRequestId {
 };
 
 /// Full per-request accounting: status-class counters, per-route latency and
-/// phase histograms in the obs registry, and one access-log record (with
-/// slow-request capture). `request_body` is only read when the request is
-/// slow. No-op under -DBGPSIM_OBS=OFF (ServeStats is the caller's job —
+/// phase histograms in the obs registry, and, while obs::start has the
+/// access log open, one access-log record. A request whose total phase time
+/// reaches obs::slow_request_us() (when nonzero) is marked "slow": true and
+/// carries its raw body as "params"; `request_body` is only read then. No-op under -DBGPSIM_OBS=OFF (ServeStats is the caller's job —
 /// it must be counted in both modes).
 void record_request(const RequestContext& ctx, int status,
                     std::size_t bytes_out, std::string_view request_body,

@@ -19,6 +19,7 @@
 #include "obs/promtext.hpp"
 #include "obs/provenance.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 
 namespace bgpsim::serve {
 namespace {
@@ -129,7 +130,7 @@ WhatIfService::WhatIfService(store::Snapshot snapshot, unsigned workers)
       info_(store::describe_snapshot(snapshot)),
       baselines_(std::make_shared<const store::BaselineStore>(
           std::move(snapshot.baselines))) {
-  workers = std::clamp(workers, 1u, 64u);
+  workers = std::clamp(workers, 1u, kMaxWorkers);
   sims_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
     sims_.push_back(std::make_unique<HijackSimulator>(scenario_.graph(),

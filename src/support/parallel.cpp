@@ -10,6 +10,12 @@ unsigned hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+unsigned worker_count(std::uint64_t requested, std::uint64_t items) {
+  const std::uint64_t bounded =
+      std::clamp<std::uint64_t>(requested, 1, kMaxWorkers);
+  return static_cast<unsigned>(std::min(bounded, items));
+}
+
 std::size_t parallel_for(
     std::size_t n, unsigned workers,
     const std::function<void(unsigned worker, std::size_t i)>& fn,
@@ -17,8 +23,7 @@ std::size_t parallel_for(
   const auto stopped = [stop] {
     return stop != nullptr && stop->load(std::memory_order_relaxed);
   };
-  const auto threads = static_cast<unsigned>(
-      std::min<std::size_t>(std::max(workers, 1u), n));
+  const unsigned threads = worker_count(workers, n);
   if (threads <= 1) {
     for (std::size_t i = 0; i < n; ++i) {
       if (stopped()) return i;

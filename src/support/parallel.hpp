@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 namespace bgpsim {
@@ -28,8 +29,16 @@ namespace bgpsim {
 /// Threads the host machine offers; always >= 1.
 unsigned hardware_threads();
 
-/// Run fn(worker, i) once for each index i in [0, n) on min(workers, n)
-/// threads (worker in [0, that count)), joining them all before returning.
+/// Most workers one batch runs on, whatever was asked (the query server's
+/// worker bound too).
+inline constexpr unsigned kMaxWorkers = 64;
+
+/// Workers a batch of `items` runs on: `requested` clamped to
+/// [1, kMaxWorkers], and no more than there are items (0 for none).
+unsigned worker_count(std::uint64_t requested, std::uint64_t items);
+
+/// Run fn(worker, i) once for each index i in [0, n) on worker_count(workers,
+/// n) threads (worker in [0, that count)), joining them all before returning.
 /// Each thread claims the next index from one shared cursor, so uneven items
 /// balance themselves; with one thread (workers <= 1) the loop runs inline
 /// on the calling thread. A worker checks `stop` before each claim and

@@ -1,13 +1,10 @@
 // Round-trip tests of the serve access log: schema of the NDJSON records,
 // seq-vs-file-order agreement, request-id correlation with the X-Request-Id
-// response header, and slow-request capture. The log rides the process-wide
-// AccessLog singleton, so these tests run requests through a real server
-// and re-point the sink at per-test temp files.
+// response header, slow-request capture, and arming by obs::start/obs::stop
+// like every other sink. These tests run requests through a real server and
+// point the log at per-test temp files.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -16,77 +13,18 @@
 #include <string>
 #include <vector>
 
-#include "core/scenario.hpp"
+#include "obs/config.hpp"
 #include "obs/json_parse.hpp"
 #include "serve/query_server.hpp"
-#include "serve/request_obs.hpp"
 #include "serve/service.hpp"
-#include "store/baseline.hpp"
-#include "store/snapshot.hpp"
-#include "support/rng.hpp"
+#include "serve_support.hpp"
 
 namespace bgpsim::serve {
 namespace {
 
-struct ClientResponse {
-  int status = 0;
-  std::string head;
-  std::string body;
-};
-
-/// Minimal blocking HTTP client; `headers` must be CRLF-terminated lines.
-ClientResponse http_request(std::uint16_t port, const std::string& method,
-                            const std::string& target,
-                            const std::string& body = std::string(),
-                            const std::string& headers = std::string()) {
-  ClientResponse out;
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return out;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(fd);
-    return out;
-  }
-  std::string request = method + " " + target + " HTTP/1.1\r\n";
-  if (!body.empty()) {
-    request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  }
-  request += headers;
-  request += "Connection: close\r\n\r\n" + body;
-  (void)send(fd, request.data(), request.size(), 0);
-
-  std::string raw;
-  char buf[8192];
-  for (;;) {
-    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    raw.append(buf, static_cast<std::size_t>(n));
-  }
-  close(fd);
-
-  if (raw.rfind("HTTP/1.1 ", 0) == 0 && raw.size() > 12) {
-    out.status = std::stoi(raw.substr(9, 3));
-  }
-  const std::size_t split = raw.find("\r\n\r\n");
-  if (split != std::string::npos) {
-    out.head = raw.substr(0, split);
-    out.body = raw.substr(split + 4);
-  }
-  return out;
-}
-
-std::string response_request_id(const ClientResponse& response) {
-  const std::size_t at = response.head.find("X-Request-Id:");
-  if (at == std::string::npos) return {};
-  std::size_t begin = at + std::string("X-Request-Id:").size();
-  std::size_t end = response.head.find("\r\n", begin);
-  if (end == std::string::npos) end = response.head.size();
-  while (begin < end && response.head[begin] == ' ') ++begin;
-  return response.head.substr(begin, end - begin);
-}
+using test::ClientResponse;
+using test::http_request;
+using test::make_snapshot;
 
 std::vector<obs::JsonValue> read_ndjson(const std::string& path) {
   std::vector<obs::JsonValue> records;
@@ -106,38 +44,27 @@ class AccessLogTest : public testing::Test {
             testing::UnitTest::GetInstance()->current_test_info()->name() +
             ".ndjson";
 
-    ScenarioParams params;
-    params.topology.total_ases = 600;
-    params.topology.seed = 33;
-    const Scenario scenario = Scenario::generate(params);
-    Rng rng(34);
-    std::vector<AsId> targets;
-    for (std::size_t i = 0; i < 4; ++i) {
-      targets.push_back(
-          static_cast<AsId>(rng.bounded(scenario.graph().num_ases())));
-    }
-    store::Snapshot snapshot;
-    snapshot.graph = scenario.graph();
-    snapshot.params = scenario.snapshot_params();
-    snapshot.baselines = store::BaselineStore::compute(
-        scenario.graph(), scenario.policy(), targets);
-
-    service_ = std::make_unique<WhatIfService>(std::move(snapshot),
+    service_ = std::make_unique<WhatIfService>(make_snapshot(600, 33, 4),
                                                /*workers=*/1);
     QueryServerOptions options;
     options.workers = 1;
     server_ = std::make_unique<QueryServer>(service_->make_router(), options);
     ASSERT_TRUE(server_->start());
-
-    AccessLog::instance().set_output(path_);
   }
 
   void TearDown() override {
     server_->stop();
-    // Disable + flush, and drop the per-test file.
-    AccessLog::instance().set_output("");
-    AccessLog::instance().set_slow_threshold_us(0);
+    // Close + flush, and drop the per-test file.
+    obs::stop();
     std::remove(path_.c_str());
+  }
+
+  /// Open the access log at path_ the way every sink is armed.
+  void arm(std::uint64_t slow_req_us = 0) {
+    obs::Config config;
+    config.access_log = path_;
+    config.slow_req_us = slow_req_us;
+    obs::start(config);
   }
 
   std::uint16_t port() const { return server_->port(); }
@@ -164,6 +91,7 @@ class AccessLogTest : public testing::Test {
 #if !defined(BGPSIM_OBS_DISABLED)
 
 TEST_F(AccessLogTest, OneSchemaValidRecordPerRequest) {
+  arm();
   // /v1/topology (inside attack_body), /v1/attack, /healthz, and a 404.
   const std::string body = attack_body();
   const ClientResponse attack =
@@ -206,15 +134,16 @@ TEST_F(AccessLogTest, OneSchemaValidRecordPerRequest) {
   EXPECT_TRUE(attack_record.find("warm")->as_bool());
   ASSERT_NE(attack_record.find("generations"), nullptr);
   EXPECT_EQ(attack_record.find("request_id")->as_string(),
-            response_request_id(attack));
+            attack.header("X-Request-Id"));
 }
 
 TEST_F(AccessLogTest, PassthroughIdReachesLog) {
+  arm();
   const ClientResponse response =
       http_request(port(), "GET", "/healthz", "",
                    "X-Request-Id: log-corr-42\r\n");
   ASSERT_EQ(response.status, 200);
-  EXPECT_EQ(response_request_id(response), "log-corr-42");
+  EXPECT_EQ(response.header("X-Request-Id"), "log-corr-42");
 
   const auto records = read_ndjson(path_);
   ASSERT_EQ(records.size(), 1u);
@@ -223,7 +152,7 @@ TEST_F(AccessLogTest, PassthroughIdReachesLog) {
 
 TEST_F(AccessLogTest, SlowCaptureAttachesParams) {
   // Threshold 1µs: every request is "slow", so the attack body is captured.
-  AccessLog::instance().set_slow_threshold_us(1);
+  arm(/*slow_req_us=*/1);
   const std::string body = attack_body();
   ASSERT_EQ(http_request(port(), "POST", "/v1/attack", body).status, 200);
 
@@ -235,26 +164,50 @@ TEST_F(AccessLogTest, SlowCaptureAttachesParams) {
   ASSERT_NE(slow_record.find("params"), nullptr);
   EXPECT_EQ(slow_record.find("params")->as_string(), body);
 
-  // An unreachable threshold captures nothing.
-  AccessLog::instance().set_slow_threshold_us(3600ull * 1000 * 1000);
+  // An unreachable threshold captures nothing. Re-arming starts a new log.
+  obs::stop();
+  arm(/*slow_req_us=*/3600ull * 1000 * 1000);
   ASSERT_EQ(http_request(port(), "POST", "/v1/attack", body).status, 200);
   records = read_ndjson(path_);
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[2].find("slow"), nullptr);
-  EXPECT_EQ(records[2].find("params"), nullptr);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].find("slow"), nullptr);
+  EXPECT_EQ(records[0].find("params"), nullptr);
+}
+
+TEST_F(AccessLogTest, ObsStartAndStopArmTheLog) {
+  // Before start, between start and stop, after stop: only the middle
+  // request is logged.
+  ASSERT_EQ(http_request(port(), "GET", "/healthz", "",
+                         "X-Request-Id: before-start\r\n")
+                .status,
+            200);
+  arm();
+  ASSERT_EQ(http_request(port(), "GET", "/healthz", "",
+                         "X-Request-Id: while-armed\r\n")
+                .status,
+            200);
+  obs::stop();
+  ASSERT_EQ(http_request(port(), "GET", "/healthz", "",
+                         "X-Request-Id: after-stop\r\n")
+                .status,
+            200);
+
+  const auto records = read_ndjson(path_);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].find("request_id")->as_string(), "while-armed");
 }
 
 #else  // BGPSIM_OBS_DISABLED
 
 TEST_F(AccessLogTest, CompiledOutUnderObsOff) {
-  // set_output is a no-op stub: the log never enables and no file appears,
-  // but requests still flow and the X-Request-Id echo still works.
-  EXPECT_FALSE(AccessLog::instance().enabled());
+  // obs::start arms nothing: no file appears, but requests still flow and
+  // the X-Request-Id echo still works.
+  arm();
   const ClientResponse response =
       http_request(port(), "GET", "/healthz", "",
                    "X-Request-Id: off-mode\r\n");
   ASSERT_EQ(response.status, 200);
-  EXPECT_EQ(response_request_id(response), "off-mode");
+  EXPECT_EQ(response.header("X-Request-Id"), "off-mode");
   EXPECT_TRUE(read_ndjson(path_).empty());
 }
 

@@ -6,6 +6,7 @@
 #include "core/advisor.hpp"
 #include "core/scenario.hpp"
 #include "topology/graph_builder.hpp"
+#include "topology/metrics.hpp"
 
 namespace bgpsim {
 namespace {
@@ -22,12 +23,17 @@ TEST(Scenario, GenerateWiresEverything) {
   EXPECT_EQ(scenario.graph().num_ases(), 1500u);
   EXPECT_GE(scenario.tiers().tier1.size(), 3u);
   EXPECT_EQ(scenario.depth().size(), 1500u);
-  EXPECT_EQ(scenario.depth_tier1_only().size(), 1500u);
   EXPECT_FALSE(scenario.transit().empty());
   EXPECT_EQ(scenario.policy().is_tier1.size(), 1500u);
+  // The scenario's depth counts hops to a tier-1 or tier-2 (§IV).
+  EXPECT_EQ(scenario.depth(), compute_depth(scenario.graph(), scenario.tiers(),
+                                            /*include_tier2=*/true));
   // tier-1-only depth is never smaller than tier-1-or-2 depth.
+  const auto tier1_only = compute_depth(scenario.graph(), scenario.tiers(),
+                                        /*include_tier2=*/false);
+  ASSERT_EQ(tier1_only.size(), 1500u);
   for (AsId v = 0; v < 1500; ++v) {
-    EXPECT_GE(scenario.depth_tier1_only()[v], scenario.depth()[v]);
+    EXPECT_GE(tier1_only[v], scenario.depth()[v]);
   }
   // Simulator is usable out of the box.
   HijackSimulator sim = scenario.make_simulator();

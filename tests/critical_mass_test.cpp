@@ -6,6 +6,7 @@
 #include "analysis/vulnerability.hpp"
 #include "core/scenario.hpp"
 #include "defense/deployment.hpp"
+#include "obs/metrics.hpp"
 #include "support/error.hpp"
 
 namespace bgpsim {
@@ -49,6 +50,31 @@ TEST_F(CriticalMassFixture, FindsMinimalCore) {
     EXPECT_GT(smaller.mean(), (1.0 - 0.75) * result.baseline_mean);
   }
 }
+
+#if !defined(BGPSIM_OBS_DISABLED)
+TEST_F(CriticalMassFixture, SearchSweepsEachDeploymentOnce) {
+  obs::Counter& sweeps = obs::registry().counter("analysis.sweeps");
+  const std::uint64_t before = sweeps.value();
+  const auto result =
+      find_critical_mass(scenario_->graph(), scenario_->sim_config(), victims_,
+                         attackers_, 0.75);
+  const std::uint64_t ran = sweeps.value() - before;
+  ASSERT_TRUE(result.achievable);
+
+  // Replay the binary search: it moves hi exactly when mid reaches the core.
+  std::uint64_t steps = 0;
+  for (std::uint32_t lo = 0, hi = scenario_->graph().num_ases(); lo < hi; ++steps) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    if (mid >= result.core_size) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  // One sweep per victim for the baseline, full deployment and each step.
+  EXPECT_EQ(ran, victims_.size() * (2 + steps));
+}
+#endif
 
 TEST_F(CriticalMassFixture, HigherTargetsNeedBiggerCores) {
   const auto easy = find_critical_mass(scenario_->graph(), scenario_->sim_config(),

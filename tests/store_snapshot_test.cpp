@@ -7,32 +7,13 @@
 
 #include "core/scenario.hpp"
 #include "store/baseline.hpp"
+#include "serve_support.hpp"
 #include "store/snapshot.hpp"
-#include "support/rng.hpp"
 
 namespace bgpsim {
 namespace {
 
-store::Snapshot make_snapshot(std::uint32_t scale, std::uint64_t seed,
-                              std::size_t num_targets = 4) {
-  ScenarioParams params;
-  params.topology.total_ases = scale;
-  params.topology.seed = seed;
-  const Scenario scenario = Scenario::generate(params);
-
-  Rng rng(seed + 1);
-  std::vector<AsId> targets;
-  for (std::size_t i = 0; i < num_targets; ++i) {
-    targets.push_back(static_cast<AsId>(rng.bounded(scenario.graph().num_ases())));
-  }
-
-  store::Snapshot snapshot;
-  snapshot.graph = scenario.graph();
-  snapshot.params = scenario.snapshot_params();
-  snapshot.baselines =
-      store::BaselineStore::compute(scenario.graph(), scenario.policy(), targets);
-  return snapshot;
-}
+using test::make_snapshot;
 
 TEST(Snapshot, RoundTripIsByteIdentical) {
   const struct {
