@@ -5,19 +5,27 @@
 // the standard three-stage structure from the partial-deployment literature
 // (Goldberg et al., SIGCOMM'10):
 //
-//   stage 1  customer routes  — multi-source level-synchronous BFS climbing
-//                               provider links from the origins;
+//   stage 1  customer routes  — spread up provider links from the origins;
 //   stage 2  peer routes      — one-hop extension of neighbors' customer/self
-//                               routes across peer links;
-//   stage 3  provider routes  — bucket BFS descending customer links from
-//                               every routed AS, in ascending path length.
+//                               routes across peer links, then selection;
+//   stage 3  provider routes  — spread down customer links from every
+//                               selection.
 //
-// Tie-breaking matches GenerationEngine's first-mover semantics: the
-// legitimate origin is announced before the attack, so at equal (LOCAL_PREF,
-// length) the legitimate route wins; remaining ties go to the lowest
-// neighbor id. The paper's tier-1 shortest-path rule is applied at selection
-// time; because tier-1 peer exports depend on each other's selections, stage
-// 2 runs a small fixed-point iteration over the tier-1 clique.
+// Stages 1 and 3 are one bucket BFS over the output table (spread): routes
+// are taken in the selection order — ascending path length, then Legit
+// before Attacker, then lowest id — and the first claim on an AS wins. That
+// matches GenerationEngine's first-mover semantics: the legitimate origin is
+// announced before the attack, so at equal (LOCAL_PREF, length) the
+// legitimate route wins; remaining ties go to the lowest neighbor id. Stage 2
+// and the customer-vs-peer selection rank through bgp/policy.hpp
+// (selection_key), like every other relaxation.
+//
+// The paper's tier-1 shortest-path rule lets a tier-1 prefer a shorter peer
+// route to its customer route, and a tier-1 that does stops exporting the
+// customer route to its peers. A peer offer undercuts a customer route of
+// length L only if the peer's own route has length at most L - 2, so one
+// pass over the tier-1s in ascending customer-route length (route_rank
+// compares) decides each after every peer that matters.
 #pragma once
 
 #include <cstdint>
@@ -61,29 +69,24 @@ class EquilibriumEngine {
   void set_provenance(obs::ProvenanceRecorder* recorder) { prov_ = recorder; }
 
  private:
-  struct Claim {
-    Origin origin = Origin::None;
-    std::uint16_t len = 0;
-    AsId via = kInvalidAs;
-  };
-
   void run(AsId primary, Origin primary_tag, std::uint16_t primary_len,
            AsId secondary, std::uint16_t secondary_len,
            const ValidatorSet* validators, RouteTable& out);
-  void stage1_customer_routes(AsId primary, Origin primary_tag,
-                              std::uint16_t primary_len, AsId secondary,
-                              std::uint16_t secondary_len,
-                              const ValidatorSet* validators);
-  void stage2_peer_routes(const ValidatorSet* validators);
+  /// The bucket BFS of stages 1 and 3. buckets_ hold routed ASes by path
+  /// length up to `highest`; each level is taken Legit before Attacker, then
+  /// lowest id, and its routes go one hop over `toward` links to ASes with
+  /// no route yet (toward Provider: learned as Customer; toward Customer:
+  /// learned as Provider). `filtered_origin`'s own origination is dropped
+  /// (the §IV first-hop filter). Stage 1 (toward Provider) observes
+  /// engine.frontier_size per level; stage 3 records Adopt edges as it
+  /// claims (stage-1 routes get theirs at selection, in id order).
+  void spread(Rel toward, AsId filtered_origin, const ValidatorSet* validators,
+              RouteTable& out, std::size_t highest);
   /// True when a validator at `to` drops the bogus route `from` offers at
   /// length `len`; counts the drop and records its Blocked edge (generation
   /// = the path-length level).
   bool validator_drops(const ValidatorSet* validators, AsId to, AsId from,
                        std::uint16_t len);
-  void stage3_select_and_descend(AsId primary, Origin primary_tag,
-                                 std::uint16_t primary_len, AsId secondary,
-                                 std::uint16_t secondary_len,
-                                 const ValidatorSet* validators, RouteTable& out);
 
   const AsGraph& graph_;
   PolicyConfig config_;
@@ -96,12 +99,8 @@ class EquilibriumEngine {
   obs::ProvenanceRecorder* prov_ = nullptr;
 
   // Scratch (sized once, reused per run).
-  std::vector<Claim> customer_;
-  std::vector<Claim> peer_;
-  std::vector<std::uint8_t> exportable_;  // peer-exports its customer route
-  std::vector<std::vector<AsId>> level_legit_;  // stage-1 frontiers by len
-  std::vector<std::vector<AsId>> level_att_;
-  std::vector<std::vector<AsId>> buckets_;      // stage-3 frontiers by len
+  std::vector<Route> peer_;                  // stage-2 peer route per AS
+  std::vector<std::vector<AsId>> buckets_;   // spread frontiers by length
 };
 
 }  // namespace bgpsim

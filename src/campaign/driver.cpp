@@ -160,7 +160,7 @@ CampaignResult run_campaign(const Scenario& scenario,
   CampaignResult result;
   result.sample_budget = spec.sample_budget;
   result.target_ci = spec.target_ci;
-  result.workers = std::max(1u, spec.workers);
+  result.workers = static_cast<unsigned>(sims.size());
   result.seed = spec.seed;
   result.victim_pool = static_cast<std::uint32_t>(sampler.victims().size());
   result.deployment_top = spec.deployment_top;

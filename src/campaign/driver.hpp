@@ -111,7 +111,7 @@ struct CampaignResult {
   bool early_stopped = false;
   std::string stop_reason;  ///< "target_ci_reached" | "budget_exhausted" | "cancelled"
   double target_ci = 0.0;
-  unsigned workers = 0;
+  unsigned workers = 0;  ///< threads that ran: the request, capped
   std::uint64_t seed = 0;
   std::uint32_t victim_pool = 0;
   std::uint32_t deployment_top = 0;

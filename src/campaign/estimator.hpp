@@ -1,23 +1,25 @@
 // Streaming estimators for Monte-Carlo hijack campaigns.
 //
 // A campaign observes integer-valued outcomes (polluted-AS counts,
-// detection generations) one sample at a time, across many shards running
-// in parallel, and must report means, variances, confidence intervals and
-// quantiles without ever holding the sample stream in memory. Three
+// detection generations) one sample at a time and must report means,
+// variances, confidence intervals and quantiles without ever holding the
+// sample stream in memory. Workers run samples in parallel, but the driver
+// folds every outcome into its stratum's estimators in sample-index order
+// after each round, so nothing here is merged on the campaign path. Three
 // fixed-memory summaries cover that:
 //
 //   MomentAccumulator   count/sum/sum-of-squares kept in *exact integer*
 //                       arithmetic (64-bit sum, 128-bit sum of squares via a
-//                       manual carry), so merge() is a plain integer add —
-//                       bit-for-bit associative and commutative. This is what
-//                       makes per-shard states mergeable in any order with
-//                       identical results, the property the sharded driver's
-//                       worker-count-independence rests on.
+//                       manual carry), so estimates round only at the final
+//                       read. merge() is a plain integer add — bit-for-bit
+//                       associative and commutative — for callers that do
+//                       shard a stream: the bgpbench ladder's campaign.merge
+//                       layer and the merge-order tests.
 //   P2Quantile          Jain & Chlamtac's P² marker algorithm: one running
 //                       quantile estimate in O(1) memory. Stream-order
 //                       dependent by construction, so the driver keeps one
 //                       per stratum and feeds it in deterministic sample-index
-//                       order; P² states are never merged across shards.
+//                       order; P² states are never merged.
 //   QuantileReservoir   fixed-capacity uniform sample of the stream
 //                       (Algorithm R), randomized by caller-supplied words
 //                       from the campaign's counter-based RNG — deterministic
@@ -175,10 +177,10 @@ struct WeightedValue {
 /// until it reaches q * total. `points` is sorted in place.
 double weighted_quantile(std::vector<WeightedValue>& points, double q);
 
-/// Everything the campaign tracks for one attacker stratum. The moment
-/// accumulators and plain counters merge exactly (see MomentAccumulator);
-/// the P² sketches and the reservoir belong to the stratum's deterministic
-/// sample stream and are reported per stratum, not merged.
+/// Everything the campaign tracks for one attacker stratum. The driver feeds
+/// it the stratum's samples in index order and never merges two; the P²
+/// sketches and the reservoir depend on that order and are reported per
+/// stratum.
 struct StratumEstimator {
   MomentAccumulator polluted;       ///< polluted-AS count per sample
   MomentAccumulator detection_gen;  ///< first-detection generation, detected samples only

@@ -18,14 +18,12 @@ Scenario Scenario::load_caida(const std::string& path, const ScenarioParams& par
   return from_graph(load_caida_file(path), params);
 }
 
-Scenario Scenario::from_snapshot(const store::Snapshot& snapshot,
-                                 EngineKind engine) {
+Scenario Scenario::from_snapshot(const store::Snapshot& snapshot) {
   ScenarioParams params;
   params.tier2_min_degree_full_scale =
       snapshot.params.tier2_min_degree_full_scale;
   params.tier1_shortest_path = snapshot.params.tier1_shortest_path;
   params.stub_first_hop_filter = snapshot.params.stub_first_hop_filter;
-  params.engine = engine;
   params.topology.seed = snapshot.params.seed;
   params.topology.total_ases = snapshot.params.scale;
   // The saved graph is already sibling-contracted — construct directly
@@ -52,7 +50,6 @@ Scenario::Scenario(AsGraph graph, const ScenarioParams& params)
   depth_ = compute_depth(graph_, tiers_, /*include_tier2=*/true);
   transit_ = transit_ases(graph_);
 
-  sim_config_.engine = params.engine;
   sim_config_.policy.tier1_shortest_path = params.tier1_shortest_path;
   sim_config_.policy.stub_first_hop_filter = params.stub_first_hop_filter;
   sim_config_.policy.is_tier1.assign(tiers_.is_tier1.begin(), tiers_.is_tier1.end());

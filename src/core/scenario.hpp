@@ -4,7 +4,10 @@
 // classification and depth metrics, and the policy configuration, and hands
 // out correctly wired simulators and experiment drivers.
 //
-//   Scenario scenario = Scenario::generate({.total_ases = 8000, .seed = 42});
+//   ScenarioParams params;
+//   params.topology.total_ases = 8000;
+//   params.topology.seed = 42;
+//   Scenario scenario = Scenario::generate(params);
 //   HijackSimulator sim = scenario.make_simulator();
 //   auto result = sim.attack(target, attacker);
 #pragma once
@@ -32,7 +35,6 @@ struct ScenarioParams {
 
   bool tier1_shortest_path = true;
   bool stub_first_hop_filter = false;
-  EngineKind engine = EngineKind::Equilibrium;
 };
 
 class Scenario {
@@ -52,8 +54,7 @@ class Scenario {
   /// the snapshot's params (deterministic, so they match the saving run).
   /// The snapshot's baselines are NOT attached here — pass them to
   /// HijackSimulator::attach_baseline (they are shareable across threads).
-  static Scenario from_snapshot(const store::Snapshot& snapshot,
-                                EngineKind engine = EngineKind::Equilibrium);
+  static Scenario from_snapshot(const store::Snapshot& snapshot);
 
   /// The params this scenario was built from. Re-wrapping a transformed
   /// graph with them (`from_graph(rehome_up(...), params())`) classifies

@@ -457,6 +457,22 @@ TEST(CampaignDriver, WorkerCountDoesNotChangeResults) {
   }
 }
 
+TEST(CampaignDriver, ReportsTheWorkersThatRan) {
+  const Scenario scenario = small_scenario(400, 5);
+  const auto baselines = make_baselines(scenario, 6);
+  CampaignSpec spec;
+  spec.seed = 9;
+  spec.sample_budget = 200;
+  spec.batch = 12;
+  spec.workers = 100;
+  // A 12-sample round over 6 strata has about a dozen samples to hand out,
+  // so only that many workers start, and the report says so.
+  const CampaignResult result = run_campaign(scenario, baselines, spec);
+  EXPECT_GE(result.workers, 1u);
+  EXPECT_LT(result.workers, 100u);
+  EXPECT_LE(result.workers, 18u);
+}
+
 TEST(CampaignDriver, ProgressCountsEachSampleOnce) {
 #if defined(BGPSIM_OBS_DISABLED)
   GTEST_SKIP() << "built with -DBGPSIM_OBS=OFF: progress macros compile out";

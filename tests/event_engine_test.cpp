@@ -11,10 +11,12 @@
 #include <iterator>
 #include <vector>
 
+#include "bgp/equilibrium_engine.hpp"
 #include "bgp/generation_engine.hpp"
 #include "bgp/route_audit.hpp"
 #include "core/scenario.hpp"
 #include "defense/deployment.hpp"
+#include "obs/provenance.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "topology/graph_builder.hpp"
@@ -500,6 +502,158 @@ TEST(MessagePassingEngines, OutputsArePinned) {
     EXPECT_EQ(event_hash.value(), pinned[i][1])
         << "event engine, attack " << i << ": victim " << victim
         << ", attacker " << attacker;
+  }
+}
+
+void fold_table(Fnv1a& hash, const RouteTable& table) {
+  for (const Route& route : table.routes) hash.fold(route);
+}
+
+void fold_edges(Fnv1a& hash, const obs::ProvenanceRecorder& recorder) {
+  hash.fold(recorder.committed());
+  for (std::uint64_t i = 0; i < recorder.committed(); ++i) {
+    const obs::InfectionEdge& edge = recorder.edges()[i];
+    hash.fold(static_cast<std::uint64_t>(obs::edge_kind(edge)));
+    hash.fold(std::uint64_t{edge.to});
+    hash.fold(std::uint64_t{edge.from});
+    hash.fold(std::uint64_t{edge.generation});
+    hash.fold(std::uint64_t{edge.path_len});
+    hash.fold(std::uint64_t{edge.displaced_len});
+    hash.fold(std::uint64_t{edge.displaced_origin});
+  }
+}
+
+// EquilibriumEngine's full outputs on seeded attacks, two FNV-1a values per
+// attack recorded before its stages shared one bucket spread. The table
+// value folds (origin, class, length, via) at every AS after compute,
+// compute_hijack and compute_single, under four policies (tier-1
+// shortest-path quirk on/off x §IV stub filter on/off). The provenance value
+// folds every edge those traced runs record, in order; it is only checked
+// where provenance is compiled in. Every third attack runs with the top-62
+// validator core, every fifth announces a forged origin (seed length 2), and
+// odd attacks draw the attacker from every AS, so stubs hit the stub filter.
+// The engines are reused across attacks, so their scratch reuse is covered.
+TEST(EquilibriumEngine, OutputsArePinned) {
+  ScenarioParams params;
+  params.topology.total_ases = 3000;
+  params.topology.seed = 2014;
+  const Scenario scenario = Scenario::generate(params);
+  const AsGraph& g = scenario.graph();
+  const std::vector<AsId>& transits = scenario.transit();
+  const ValidatorSet core = to_filter_set(g, top_k_deployment(g, 62)).bitset();
+
+  std::vector<EquilibriumEngine> engines;
+  for (const bool tier1_shortest : {true, false}) {
+    for (const bool stub_filter : {false, true}) {
+      PolicyConfig policy = scenario.policy();
+      policy.tier1_shortest_path = tier1_shortest;
+      policy.stub_first_hop_filter = stub_filter;
+      engines.emplace_back(g, policy);
+    }
+  }
+  obs::ProvenanceRecorder recorder(1u << 16);
+  RouteTable table;
+
+  // {table value, provenance value} per attack.
+  const std::uint64_t pinned[][2] = {
+      {0x55ec892834e843e9ull, 0xa7bf3d559271a079ull},
+      {0x4bc6ff072280ff43ull, 0xed12ced02a718c8dull},
+      {0xb9c4a2efdce4cae1ull, 0x656726d59c18a8f9ull},
+      {0x7092de3f109269f7ull, 0x1f2ac9ad62da8e1dull},
+      {0x83a7d2a12fb73c95ull, 0xea18ccf0973446f5ull},
+      {0x2c4ec0696ac4b1bbull, 0x2e4ea44ce55dfecaull},
+      {0xaa9722cf42ce8e55ull, 0xcb73ea365f014a25ull},
+      {0xaee2768c1f532960ull, 0x5d96ee8ed4b907ddull},
+      {0x2f4e69dc3da27b95ull, 0x1298bd0087c0a47dull},
+      {0xb119059a754d798dull, 0xfa1e94e1e56dd0e5ull},
+      {0x103166ceb0a634d5ull, 0x32adebeec064fd55ull},
+      {0x7326be7936925eebull, 0x0d5db5ce5de110caull},
+      {0xa46b40d018977e95ull, 0x9c0ab581623762e5ull},
+      {0x98eee9978e8789fcull, 0x96b0a213510724d1ull},
+      {0x2f4628adffc43f99ull, 0x8d54ce250bc7e181ull},
+      {0xea6e86bef682b532ull, 0x809efe1967a6fc44ull},
+      {0xb1e775360d22bf31ull, 0xdd4a82b96705b011ull},
+      {0xb90cfa2badd36774ull, 0xb0fcb514b1456f8dull},
+      {0x1c734fe3827220e5ull, 0x174cc99f5d9473b5ull},
+      {0xff7875815fa5a1a6ull, 0xa1aac327c5b1b513ull},
+      {0x3a59ff50fe23a4a5ull, 0x50c4f8b6b16b1a91ull},
+      {0xb518decbbae282c5ull, 0xd6a4aad6e8712dd5ull},
+      {0xb5957d9c86a52b1dull, 0xc769c51e1551a5ddull},
+      {0xa7e5e4dbf7139318ull, 0x7da6374b408c220dull},
+      {0x0fee7dcba6405065ull, 0x84e2a7c5a5e3fee5ull},
+      {0xb09d07f479be8235ull, 0x484f71feb9640a3dull},
+      {0x7271c1f60e33ad99ull, 0x1f0d74475a6ede8dull},
+      {0xabf9a6525c5d80cdull, 0x0436743de4958205ull},
+      {0x5c914c0cabc3d5f9ull, 0xaf0fa70a89b9b9b1ull},
+      {0xb40500a18a9eab06ull, 0x2174d5f05ab53a52ull},
+      {0xce105b1d98391ec5ull, 0xa35a2c26d49ceef5ull},
+      {0x0a9df6f9213e88c6ull, 0x4c98e23a2dd78ea0ull},
+      {0x5a46e73885350041ull, 0x3401924273d3c0cdull},
+      {0x25de5172eaf5482dull, 0xd021562abe924759ull},
+      {0x31c29e1514b7d5adull, 0x663d96eb8a4abaedull},
+      {0xe01098a33b303f44ull, 0x7e6d39b3fdf334daull},
+      {0xac0e10dcf56f8095ull, 0x637e6bb61c41ee05ull},
+      {0xd7ae8d256614dd4full, 0x1fb30ba40b2396c8ull},
+      {0x466225b2c87320e5ull, 0xb1635f020fb9a141ull},
+      {0xa951cb2fa514ad65ull, 0x1acf20a7e050bae5ull},
+      {0x675602e03203e4fdull, 0x0911c351ab55bf35ull},
+      {0x13e5908942d21895ull, 0x4d7415dc7d2e8b39ull},
+      {0x14227692eed80e2dull, 0x77a313c9636be33dull},
+      {0x88ad3904c6da8350ull, 0x8ac7a89c4d1b54f0ull},
+      {0x1ea027071f710401ull, 0xf670725e07d95345ull},
+      {0x5c6dfff517c5d0b9ull, 0x530c8cc2d4752391ull},
+      {0x3e62703e2156afe9ull, 0xa8051a8007636905ull},
+      {0x951ecc3aeca82e9aull, 0x07d6ee15c27cf04bull},
+      {0x90f7cb8b94309da5ull, 0xfc6d51e236b53cedull},
+      {0x47a0095f5486c3e1ull, 0x2f367e3e58755c45ull},
+      {0x31498ff7a91b8f61ull, 0xc4cefb8475eababdull},
+      {0xbc1e2ad91e148121ull, 0xc06d7e7494eb1561ull},
+      {0x635119b22e51a4c5ull, 0xf5ce89a2b3dd0565ull},
+      {0xcbc4d7c08c9e4f75ull, 0x159aa0cf72237d7cull},
+      {0xcc0e3dab882f584dull, 0x86286913ae431c7dull},
+      {0xad743719d6eba721ull, 0xc0e04cfcf6dfe084ull},
+      {0x092f7bd89d2754a9ull, 0xbf0045e05148e251ull},
+      {0xbc35333d407113a8ull, 0x1ce99392e10de8a1ull},
+      {0x1be88e42c2753431ull, 0x4e0bb442c6b74bbdull},
+      {0xad216f2cc4241155ull, 0x6b939ad4b160b69dull},
+  };
+  Rng rng(23);
+  for (std::size_t i = 0; i < std::size(pinned); ++i) {
+    const AsId victim = static_cast<AsId>(rng.bounded(g.num_ases()));
+    AsId attacker = victim;
+    while (attacker == victim) {
+      attacker = i % 2 == 0 ? transits[rng.bounded(transits.size())]
+                            : static_cast<AsId>(rng.bounded(g.num_ases()));
+    }
+    const ValidatorSet* validators = i % 3 == 0 ? &core : nullptr;
+    const std::uint16_t seed_len = i % 5 == 0 ? 2 : 1;
+
+    Fnv1a table_hash;
+    Fnv1a prov_hash;
+    for (EquilibriumEngine& engine : engines) {
+      engine.set_provenance(&recorder);
+      recorder.begin_attack();
+      engine.compute(victim, validators, table);
+      fold_table(table_hash, table);
+      fold_edges(prov_hash, recorder);
+      recorder.begin_attack();
+      engine.compute_hijack(victim, attacker, validators, table, seed_len);
+      fold_table(table_hash, table);
+      fold_edges(prov_hash, recorder);
+      recorder.begin_attack();
+      engine.compute_single(attacker, Origin::Attacker, seed_len, validators,
+                            table);
+      fold_table(table_hash, table);
+      fold_edges(prov_hash, recorder);
+    }
+    EXPECT_EQ(table_hash.value(), pinned[i][0])
+        << "routing tables, attack " << i << ": victim " << victim
+        << ", attacker " << attacker;
+    if (obs::kProvenanceCompiled) {
+      EXPECT_EQ(prov_hash.value(), pinned[i][1])
+          << "provenance edges, attack " << i << ": victim " << victim
+          << ", attacker " << attacker;
+    }
   }
 }
 

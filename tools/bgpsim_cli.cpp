@@ -74,6 +74,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -105,10 +106,20 @@ struct Args {
   std::string command;
   std::map<std::string, std::string> options;
 
-  std::optional<std::uint64_t> number(const std::string& key) const {
+  /// The option's value as a T; nullopt when the option is absent. A value
+  /// that is not a decimal integer or does not fit in T is a ConfigError
+  /// naming the option, never a default or a wrapped number.
+  template <typename T = std::uint64_t>
+  std::optional<T> number(const std::string& key) const {
     const auto it = options.find(key);
     if (it == options.end()) return std::nullopt;
-    return parse_u64(it->second);
+    const std::optional<std::uint64_t> value = parse_u64(it->second);
+    if (!value || *value > std::numeric_limits<T>::max()) {
+      throw ConfigError("bad --" + key + " value: '" + it->second +
+                        "' (want an integer in [0, " +
+                        std::to_string(std::numeric_limits<T>::max()) + "])");
+    }
+    return static_cast<T>(*value);
   }
 
   std::optional<std::string> text(const std::string& key) const {
@@ -149,8 +160,7 @@ Scenario load_scenario(const Args& args) {
   if (const auto path = args.text("topo")) {
     return Scenario::load_caida(*path, params);
   }
-  params.topology.total_ases =
-      static_cast<std::uint32_t>(args.number("ases").value_or(4000));
+  params.topology.total_ases = args.number<std::uint32_t>("ases").value_or(4000);
   params.topology.seed = args.number("seed").value_or(42);
   return Scenario::generate(params);
 }
@@ -159,7 +169,7 @@ int cmd_generate(const Args& args) {
   const auto out = args.text("out");
   if (!out) throw ConfigError("generate requires --out <file>");
   InternetGenParams params;
-  params.total_ases = static_cast<std::uint32_t>(args.number("ases").value_or(4000));
+  params.total_ases = args.number<std::uint32_t>("ases").value_or(4000);
   params.seed = args.number("seed").value_or(42);
   const AsGraph graph = generate_internet(params);
   save_caida_file(*out, graph);
@@ -206,8 +216,8 @@ void print_pollution_trace(const AsGraph& g, const HijackSimulator& sim,
 int cmd_attack(const Args& args) {
   const Scenario scenario = load_scenario(args);
   const AsGraph& g = scenario.graph();
-  const auto victim_asn = args.number("victim");
-  const auto attacker_asn = args.number("attacker");
+  const auto victim_asn = args.number<Asn>("victim");
+  const auto attacker_asn = args.number<Asn>("attacker");
   if (!victim_asn || !attacker_asn) {
     throw ConfigError("attack requires --victim and --attacker ASNs");
   }
@@ -228,18 +238,17 @@ int cmd_attack(const Args& args) {
   if (args.flag("subprefix")) options.kind = AttackKind::SubPrefix;
   options.forged_origin = args.flag("forged");
   DecisionHistory history;
-  const auto explain_asn = args.number("explain");
+  const auto explain_asn = args.number<Asn>("explain");
   if (explain_asn) {
     if (options.forged_origin || options.kind == AttackKind::SubPrefix) {
       throw ConfigError("--explain supports the plain exact-prefix attack");
     }
-    history.watched = g.require(static_cast<Asn>(*explain_asn));
+    history.watched = g.require(*explain_asn);
     options.history = &history;
   }
 
   const auto result =
-      sim.attack_ex(g.require(static_cast<Asn>(*victim_asn)),
-                    g.require(static_cast<Asn>(*attacker_asn)), options);
+      sim.attack_ex(g.require(*victim_asn), g.require(*attacker_asn), options);
   if (explain_asn) {
     std::printf("exact-prefix hijack of AS%llu by AS%llu "
                 "(generation engine, %u generations):\n",
@@ -269,15 +278,15 @@ int cmd_attack(const Args& args) {
 int cmd_attribution(const Args& args) {
   const Scenario scenario = load_scenario(args);
   const AsGraph& g = scenario.graph();
-  const auto victim_asn = args.number("victim");
-  const auto attacker_asn = args.number("attacker");
+  const auto victim_asn = args.number<Asn>("victim");
+  const auto attacker_asn = args.number<Asn>("attacker");
   if (!victim_asn || !attacker_asn) {
     throw ConfigError("attribution requires --victim and --attacker ASNs");
   }
-  const auto top = static_cast<std::size_t>(args.number("top").value_or(10));
-  const auto cuts = static_cast<std::size_t>(args.number("cuts").value_or(3));
-  const AsId victim = g.require(static_cast<Asn>(*victim_asn));
-  const AsId attacker = g.require(static_cast<Asn>(*attacker_asn));
+  const auto top = args.number<std::size_t>("top").value_or(10);
+  const auto cuts = args.number<std::size_t>("cuts").value_or(3);
+  const AsId victim = g.require(*victim_asn);
+  const AsId attacker = g.require(*attacker_asn);
 
   // The traced attack plus one exact counterfactual re-run per cut.
   BGPSIM_PROGRESS(1 + (cuts < top ? cuts : top));
@@ -339,9 +348,9 @@ int cmd_attribution(const Args& args) {
 int cmd_sweep(const Args& args) {
   const Scenario scenario = load_scenario(args);
   const AsGraph& g = scenario.graph();
-  const auto victim_asn = args.number("victim");
+  const auto victim_asn = args.number<Asn>("victim");
   if (!victim_asn) throw ConfigError("sweep requires --victim ASN");
-  const AsId victim = g.require(static_cast<Asn>(*victim_asn));
+  const AsId victim = g.require(*victim_asn);
 
   VulnerabilityAnalyzer analyzer(g, scenario.sim_config());
   std::optional<FilterSet> filters;
@@ -368,8 +377,8 @@ int cmd_sweep(const Args& args) {
 int cmd_detect(const Args& args) {
   const Scenario scenario = load_scenario(args);
   const AsGraph& g = scenario.graph();
-  const auto attacks = static_cast<std::uint32_t>(args.number("attacks").value_or(1000));
-  const auto k = args.number("probes").value_or(scenario.scaled_count(62));
+  const auto attacks = args.number<std::uint32_t>("attacks").value_or(1000);
+  const auto k = args.number<std::size_t>("probes").value_or(scenario.scaled_count(62));
 
   DetectorExperiment experiment(g, scenario.sim_config());
   Rng rng(args.number("seed").value_or(42));
@@ -422,7 +431,7 @@ std::vector<AsId> as_set_option(const Scenario& scenario, const Args& args,
   std::vector<AsId> ases;
   for (const std::string_view field : split(spec, ',')) {
     const auto asn = parse_u64(trim(field));
-    if (!asn) {
+    if (!asn || *asn > std::numeric_limits<Asn>::max()) {
       throw ConfigError("bad --" + option + " entry: " + std::string(field));
     }
     ases.push_back(scenario.graph().require(static_cast<Asn>(*asn)));
@@ -533,10 +542,9 @@ int cmd_campaign(const Args& args) {
   spec.sample_budget = args.number("samples").value_or(100000);
   spec.target_ci = parse_fraction_option(args, "target-ci", 0.0);
   spec.batch = args.number("batch").value_or(0);
-  spec.workers = static_cast<unsigned>(args.number("workers").value_or(1));
-  spec.deployment_top =
-      static_cast<std::uint32_t>(args.number("deployment-top").value_or(0));
-  spec.probes = static_cast<std::uint32_t>(args.number("probes").value_or(0));
+  spec.workers = args.number<unsigned>("workers").value_or(1);
+  spec.deployment_top = args.number<std::uint32_t>("deployment-top").value_or(0);
+  spec.probes = args.number<std::uint32_t>("probes").value_or(0);
   if (spec.sample_budget == 0) throw ConfigError("--samples must be positive");
   if (spec.workers == 0) spec.workers = 1;
 
@@ -576,16 +584,15 @@ void serve_signal_handler(int) { g_serve_stop = 1; }
 int cmd_serve(const Args& args) {
   const auto snapshot_path = args.text("snapshot");
   if (!snapshot_path) throw ConfigError("serve requires --snapshot <file>");
-  const auto workers =
-      static_cast<unsigned>(args.number("workers").value_or(4));
+  const auto workers = args.number<unsigned>("workers").value_or(4);
 
   serve::WhatIfService service(store::load_snapshot(*snapshot_path), workers);
 
   serve::QueryServerOptions options;
-  options.port = static_cast<std::uint16_t>(args.number("port").value_or(0));
+  options.port = args.number<std::uint16_t>("port").value_or(0);
   options.workers = workers;
-  if (const auto max_body = args.number("max-body")) {
-    options.limits.max_body_bytes = static_cast<std::size_t>(*max_body);
+  if (const auto max_body = args.number<std::size_t>("max-body")) {
+    options.limits.max_body_bytes = *max_body;
   }
   serve::QueryServer server(service.make_router(), options);
   if (!server.start()) {
