@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bgp/policy.hpp"
@@ -57,6 +58,17 @@ class AdjRib {
 
   /// Forget all routing state (start a new prefix).
   void reset();
+
+  /// Write the state a converged legitimate-only announcement leaves behind,
+  /// in one pass instead of propagating it, overwriting everything reset()
+  /// clears: the selected routes of `table` with `vias` (ASes ascending)
+  /// replacing its vias, the interned paths along those vias, and every
+  /// Adj-RIB-In entry as its sender's last message left it (the export of
+  /// the sender's final route, unless split horizon or loop rejection
+  /// withdrew it). `table` must be a Legit-only stable state of this policy
+  /// (EquilibriumEngine::compute's), each patched via an equal-rank
+  /// neighbor route.
+  void load_converged(const RouteTable& table, std::span<const ViaPatch> vias);
 
   const AsGraph& graph() const { return graph_; }
   const PolicyConfig& config() const { return config_; }
@@ -171,6 +183,10 @@ class AdjRib {
   std::vector<std::uint32_t> best_slot_;
   std::vector<PathId> best_path_;
   std::vector<std::uint8_t> offered_bogus_;
+
+  // load_converged scratch: ASes bucketed by path length.
+  std::vector<std::uint32_t> len_start_;
+  std::vector<AsId> by_len_;
 
   // Validator rejections not yet flushed to defense.validator_drops.
   std::uint64_t validator_drops_ = 0;

@@ -20,6 +20,14 @@ void GenerationEngine::reset() {
   next_frontier_.clear();
 }
 
+void GenerationEngine::load_converged(const RouteTable& table,
+                                      std::span<const ViaPatch> vias) {
+  rib_.load_converged(table, vias);
+  std::fill(changed_flag_.begin(), changed_flag_.end(), 0);
+  frontier_.clear();
+  next_frontier_.clear();
+}
+
 void GenerationEngine::set_decision_watch(AsId watched, DecisionHistory* history) {
 #if defined(BGPSIM_OBS_DISABLED)
   (void)watched;

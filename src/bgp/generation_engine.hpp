@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bgp/adj_rib.hpp"
@@ -71,6 +72,13 @@ class GenerationEngine {
 
   /// Forget all routing state (start a new prefix).
   void reset();
+
+  /// Start a new prefix from the state a converged legitimate-only
+  /// announce() leaves behind, without propagating it (AdjRib::load_converged:
+  /// `table` is EquilibriumEngine::compute's, `vias` are the ASes where this
+  /// engine's arrival order picked another equal-rank neighbor). A following
+  /// announce() runs exactly as after reset() + the legitimate announce().
+  void load_converged(const RouteTable& table, std::span<const ViaPatch> vias);
 
   /// Originate the prefix at `origin` tagged with `tag` and propagate to
   /// quiescence. May be called again with a second origin (the hijack case:

@@ -79,6 +79,15 @@ struct RouteTable {
   }
 };
 
+/// One AS whose selected route came through another neighbor than a route
+/// table says: `via` replaces the table's via at `as`. Message-passing
+/// engines settle equal-rank ties by arrival order, EquilibriumEngine by the
+/// lowest neighbor id, so their legitimate-only states differ only here.
+struct ViaPatch {
+  AsId as = kInvalidAs;
+  AsId via = kInvalidAs;
+};
+
 /// Per-AS flag set: 1 = this AS performs route-origin validation and drops
 /// announcements whose origin is the attacker (RPKI/ROVER-style blocking).
 using ValidatorSet = std::vector<std::uint8_t>;

@@ -116,14 +116,27 @@ ExtendedAttackResult HijackSimulator::attack_ex(AsId target, AsId attacker,
     if (!generation_) generation_.emplace(graph_, config_.policy);
     GenerationEngine& engine = *generation_;
     engine.set_provenance(prov);
-    engine.reset();
+    // The legitimate phase is validator-independent and records no
+    // provenance, so a stored seed reproduces it exactly; a decision history
+    // has to watch it run.
+    const store::GenerationSeed* seed =
+        baselines_ && !sub_prefix && options.history == nullptr
+            ? baselines_->find_seed(target)
+            : nullptr;
+    if (seed != nullptr) {
+      engine.load_converged(*baselines_->find(target), seed->vias);
+      result.generations = seed->generations;
+      BGPSIM_COUNTER_ADD("engine.legit_seeded", 1);
+    } else {
+      engine.reset();
+    }
     if (options.history != nullptr) options.history->snapshots.clear();
     engine.set_decision_watch(
         options.history != nullptr ? options.history->watched : kInvalidAs,
         options.history);
     // The bogus more-specific never competes with the covering legitimate
     // route: a single-origin propagation decides who installs it.
-    if (!sub_prefix) {
+    if (!sub_prefix && seed == nullptr) {
       result.generations =
           engine.announce(target, Origin::Legit, validators).generations;
     }

@@ -132,7 +132,11 @@ class HijackSimulator {
   /// attacker injected, and the unique stable state restored by worklist
   /// repair (bgp/warm_repair.hpp) instead of full reconvergence. Results are
   /// bit-identical to the cold path; warm_hijack_repair falls back to a cold
-  /// compute when its work budget trips. Pass nullptr to detach.
+  /// compute when its work budget trips. Exact-prefix generation-engine
+  /// attacks without a decision history (traces, detection replays) against
+  /// a target that also has a generation seed load its converged legitimate
+  /// state (GenerationEngine::load_converged) instead of announcing it; the
+  /// trace, table and `generations` are the same. Pass nullptr to detach.
   void attach_baseline(std::shared_ptr<const store::BaselineStore> baselines);
 
   /// Whether the most recent attack was answered from a warm baseline.

@@ -20,10 +20,14 @@
 // ubsan presets); any disagreement prints the scenario coordinates so it can
 // be replayed with --seed/--victim/--attacker.
 //
-// Exit status: 0 all scenarios pass, 1 any check failed, 2 usage error.
+// Exit status: 0 all scenarios pass, 1 any check failed or a numeric option
+// did not parse or fit its range (the option is named on stderr), 2 usage
+// error.
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "bgp/equilibrium_engine.hpp"
@@ -31,6 +35,7 @@
 #include "bgp/generation_engine.hpp"
 #include "bgp/route_audit.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 #include "topology/internet_gen.hpp"
 #include "topology/metrics.hpp"
 
@@ -46,6 +51,29 @@ struct Options {
   bool tier1_shortest = true;
   bool explain = false;  ///< dump per-AS detail for every disagreement
 };
+
+/// `text` as an integer in [lo, hi], or nullopt after naming `option` on
+/// stderr.
+std::optional<std::int64_t> number_option(const std::string& option,
+                                          const std::string& text,
+                                          std::int64_t lo, std::int64_t hi) {
+  const std::optional<std::int64_t> value = bgpsim::parse_i64(text);
+  if (!value || *value < lo || *value > hi) {
+    std::cerr << "audit_runner: bad " << option << " value: " << text
+              << " (want an integer in [" << lo << ", " << hi << "])\n";
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<std::uint64_t> seed_option(const std::string& text) {
+  const std::optional<std::uint64_t> value = bgpsim::parse_u64(text);
+  if (!value) {
+    std::cerr << "audit_runner: bad --seed value: " << text
+              << " (want an unsigned 64-bit integer)\n";
+  }
+  return value;
+}
 
 int usage() {
   std::cerr << "usage: audit_runner [--ases N] [--seed S] [--trials T]\n"
@@ -212,20 +240,29 @@ void audit_scenario(const Options& opts, const bgpsim::AsGraph& graph,
 int main(int argc, char** argv) {
   using namespace bgpsim;
 
+  constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
   Options opts;
+  std::string victim_text, attacker_text;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     if (arg == "--ases" && has_value) {
-      opts.ases = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      // generate_internet needs at least 50 ASes.
+      const auto ases = number_option(arg, argv[++i], 50, kMaxU32);
+      if (!ases) return 1;
+      opts.ases = static_cast<std::uint32_t>(*ases);
     } else if (arg == "--seed" && has_value) {
-      opts.seed = std::strtoull(argv[++i], nullptr, 10);
+      const auto seed = seed_option(argv[++i]);
+      if (!seed) return 1;
+      opts.seed = *seed;
     } else if (arg == "--trials" && has_value) {
-      opts.trials = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      const auto trials = number_option(arg, argv[++i], 0, kMaxU32);
+      if (!trials) return 1;
+      opts.trials = static_cast<std::uint32_t>(*trials);
     } else if (arg == "--victim" && has_value) {
-      opts.victim = std::strtol(argv[++i], nullptr, 10);
+      victim_text = argv[++i];
     } else if (arg == "--attacker" && has_value) {
-      opts.attacker = std::strtol(argv[++i], nullptr, 10);
+      attacker_text = argv[++i];
     } else if (arg == "--no-tier1-shortest") {
       opts.tier1_shortest = false;
     } else if (arg == "--explain") {
@@ -237,7 +274,17 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if ((opts.victim < 0) != (opts.attacker < 0)) return usage();
+  if (victim_text.empty() != attacker_text.empty()) return usage();
+  // Scenario ids index the generated graph, so they are checked against
+  // --ases once every option is read.
+  if (!victim_text.empty()) {
+    const auto victim = number_option("--victim", victim_text, 0, opts.ases - 1);
+    const auto attacker =
+        number_option("--attacker", attacker_text, 0, opts.ases - 1);
+    if (!victim || !attacker) return 1;
+    opts.victim = *victim;
+    opts.attacker = *attacker;
+  }
 
   InternetGenParams params;
   params.total_ases = opts.ases;
